@@ -9,6 +9,8 @@ using bigint::BigUint;
 // TrapdoorPermutation::keygen(rng, 1024). The accumulator factorization was
 // discarded after generation; the trapdoor secret key is embedded because
 // benchmarks and examples model the data owner, who legitimately holds it.
+// Its factors p < q (for the CRT inverse) were recovered from (n, e, d) by
+// the standard randomized factoring of e·d − 1; tests pin p·q == n.
 
 const AccumulatorParams& default_accumulator_params() {
   static const AccumulatorParams params{
@@ -48,7 +50,13 @@ const TrapdoorSecretKey& default_trapdoor_secret_key() {
           "9413596e00008eadc90f01c7b4b6373efbc9a2af94e6e36903d4da625cb5bf3c"
           "f5990bec9fb8d3400b904f73b3c0900797198d0c8e8c6fb3b298f34c0c94e2d6"
           "ce2761d8f0a5520351877e131f39eda74e656c29d86ea2072f2e0557b66ffd38"
-          "2db4862713a8a02b85db003b444510aff0ac91413b508abdb43510d7e3e69015")};
+          "2db4862713a8a02b85db003b444510aff0ac91413b508abdb43510d7e3e69015"),
+      BigUint::from_hex(
+          "c294767b4e3be998a863f162b2dd6b56ad41f0e26954e154f306b4630b71ef8e"
+          "0aaa15cacadbf8ead941197726c8f1e2333b6169bb7cad8f2a44341e4f2f3a63"),
+      BigUint::from_hex(
+          "e717e7b9638beb9a957d6523113409696fe024592d1ee32977a33577d70d1b11"
+          "d10003d9633b1507d44da7cc06c43d7c14c6fe86867f753239ad74000fcaf00b")};
   return sk;
 }
 

@@ -37,8 +37,41 @@ std::pair<TrapdoorPublicKey, TrapdoorSecretKey> TrapdoorPermutation::keygen(
     if (!BigUint::gcd(e, phi).is_one()) continue;
     const BigUint n = p * q;
     const BigUint d = BigUint::mod_inverse(e, phi);
-    return {TrapdoorPublicKey{n, e}, TrapdoorSecretKey{n, d}};
+    return {TrapdoorPublicKey{n, e}, TrapdoorSecretKey{n, d, p, q}};
   }
+}
+
+namespace {
+
+/// Checked before the Montgomery contexts are built: they reject an even
+/// or trivial modulus with a less helpful message.
+const TrapdoorSecretKey& checked(const TrapdoorSecretKey& sk) {
+  if (sk.p <= BigUint(1) || sk.q <= BigUint(1) || sk.p * sk.q != sk.n)
+    throw CryptoError("trapdoor secret key: p·q != n");
+  return sk;
+}
+
+}  // namespace
+
+TrapdoorInverse::TrapdoorInverse(const TrapdoorSecretKey& sk)
+    : n_(checked(sk).n),
+      p_(sk.p),
+      q_(sk.q),
+      dp_(sk.d % (sk.p - BigUint(1))),
+      dq_(sk.d % (sk.q - BigUint(1))),
+      q_inv_(BigUint::mod_inverse(sk.q % sk.p, sk.p)),
+      mont_p_(sk.p),
+      mont_q_(sk.q) {}
+
+BigUint TrapdoorInverse::operator()(const BigUint& y) const {
+  // Exact for every y in Z_n (units or not): d ≡ dp (mod p−1) gives
+  // y^d ≡ y^dp (mod p), and both sides vanish when p | y.
+  const BigUint mp = mont_p_.pow(y % p_, dp_);
+  const BigUint mq = mont_q_.pow(y % q_, dq_);
+  // Garner: x = mq + q·((mp − mq)·q⁻¹ mod p) is the unique x < n.
+  const BigUint h =
+      BigUint::mul_mod(BigUint::sub_mod(mp, mq % p_, p_), q_inv_, p_);
+  return mq + h * q_;
 }
 
 TrapdoorPermutation::TrapdoorPermutation(TrapdoorPublicKey pk)
@@ -52,10 +85,10 @@ BigUint TrapdoorPermutation::forward(const BigUint& x) const {
   return mont_.pow(x, pk_.e);
 }
 
-BigUint TrapdoorPermutation::inverse(const TrapdoorSecretKey& sk,
+BigUint TrapdoorPermutation::inverse(const TrapdoorInverse& sk,
                                      const BigUint& y) const {
-  if (sk.n != pk_.n) throw CryptoError("trapdoor key mismatch");
-  return mont_.pow(y, sk.d);
+  if (sk.modulus() != pk_.n) throw CryptoError("trapdoor key mismatch");
+  return sk(y);
 }
 
 BigUint TrapdoorPermutation::random_trapdoor(crypto::Drbg& rng) const {

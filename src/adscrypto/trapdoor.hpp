@@ -24,10 +24,39 @@ struct TrapdoorPublicKey {
   static TrapdoorPublicKey deserialize(BytesView data);
 };
 
-/// Secret half: (n, d). Held by the data owner only.
+/// Secret half: (n, d) and the factorization n = p·q. Held by the data
+/// owner only.
 struct TrapdoorSecretKey {
   bigint::BigUint n;
   bigint::BigUint d;
+  bigint::BigUint p;
+  bigint::BigUint q;
+};
+
+/// The owner's π_sk⁻¹ context: y^d mod n by the Chinese remainder theorem,
+/// i.e. two half-size exponentiations y^(d mod p−1) mod p and
+/// y^(d mod q−1) mod q recombined by Garner's formula — bit-identical to
+/// the plain y^d mod n at about a third of its cost. The half exponents,
+/// q⁻¹ mod p and the two Montgomery contexts are derived once per key.
+class TrapdoorInverse {
+ public:
+  /// Throws CryptoError unless sk.p · sk.q == sk.n.
+  explicit TrapdoorInverse(const TrapdoorSecretKey& sk);
+
+  const bigint::BigUint& modulus() const { return n_; }
+
+  /// y^d mod n.
+  bigint::BigUint operator()(const bigint::BigUint& y) const;
+
+ private:
+  bigint::BigUint n_;
+  bigint::BigUint p_;
+  bigint::BigUint q_;
+  bigint::BigUint dp_;     // d mod (p − 1)
+  bigint::BigUint dq_;     // d mod (q − 1)
+  bigint::BigUint q_inv_;  // q⁻¹ mod p
+  bigint::Montgomery mont_p_;
+  bigint::Montgomery mont_q_;
 };
 
 /// RSA trapdoor permutation with fixed-width byte-level domain helpers.
@@ -48,8 +77,9 @@ class TrapdoorPermutation {
   /// π_pk(x) = x^e mod n (cheap: e = 65537).
   bigint::BigUint forward(const bigint::BigUint& x) const;
 
-  /// π_sk⁻¹(y) = y^d mod n. Requires the secret key.
-  bigint::BigUint inverse(const TrapdoorSecretKey& sk,
+  /// π_sk⁻¹(y) = y^d mod n. Requires the secret key's CRT context; throws
+  /// CryptoError when it belongs to another modulus.
+  bigint::BigUint inverse(const TrapdoorInverse& sk,
                           const bigint::BigUint& y) const;
 
   /// Samples a random trapdoor in [2, n).

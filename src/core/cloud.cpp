@@ -126,7 +126,7 @@ void CloudServer::apply(const UpdateOutput& update) {
   // cache and falls back to exact on-demand witnesses — correctness never
   // depends on the refresh having finished. The task captures stable heap
   // pointers (not `this`), so a moved CloudServer stays safe.
-  std::vector<std::vector<BigUint>> caches;
+  adscrypto::ShardedAccumulator::WitnessCache caches;
   {
     std::unique_lock lock(wit_->mu);
     caches = std::exchange(wit_->cache, {});
@@ -138,7 +138,7 @@ void CloudServer::apply(const UpdateOutput& update) {
       acc->refresh_witnesses(caches, batch);
     } else {
       // Cache was cold (precompute never ran against this layout): build
-      // from scratch once; subsequent batches refresh incrementally.
+      // from scratch once; subsequent batches refresh it in place.
       caches = acc->all_witnesses();
     }
     std::unique_lock lock(st->mu);
@@ -276,8 +276,8 @@ CloudServer::ProvenToken CloudServer::prove_parts(
   {
     const std::shared_lock lock(wit_->mu);
     if (out.pos.shard < wit_->cache.size() &&
-        out.pos.index < wit_->cache[out.pos.shard].size()) {
-      out.witness = wit_->cache[out.pos.shard][out.pos.index];
+        out.pos.index < wit_->cache[out.pos.shard].leaves.size()) {
+      out.witness = wit_->cache[out.pos.shard].leaves[out.pos.index];
       from_wit_cache = true;
     }
   }
@@ -456,7 +456,7 @@ void CloudServer::precompute_witnesses() {
 bool CloudServer::witnesses_precomputed() const {
   const std::shared_lock lock(wit_->mu);
   for (const auto& shard_cache : wit_->cache)
-    if (!shard_cache.empty()) return true;
+    if (!shard_cache.leaves.empty()) return true;
   return false;
 }
 

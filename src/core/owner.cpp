@@ -31,7 +31,7 @@ DataOwner::DataOwner(
     : config_(std::move(config)),
       keys_(std::move(keys)),
       perm_(std::move(trapdoor_pk)),
-      trapdoor_sk_(std::move(trapdoor_sk)),
+      trapdoor_inverse_(trapdoor_sk),
       sharded_(std::move(accumulator_params), shard_count),
       accumulator_trapdoor_(std::move(accumulator_trapdoor)),
       rng_(std::move(rng)),
@@ -168,7 +168,7 @@ UpdateOutput DataOwner::ingest(
         throw ProtocolError("missing set-hash state for keyword");
       h = h_it->second;
       set_hashes_.erase(h_it);  // S.pop
-      trapdoor = perm_.inverse(trapdoor_sk_, old.trapdoor);
+      trapdoor = perm_.inverse(trapdoor_inverse_, old.trapdoor);
       j = old.j + 1;
     }
     trapdoor_states_[keyword] = TrapdoorState{trapdoor, j};

@@ -148,7 +148,7 @@ class DataOwner {
   Config config_;
   Keys keys_;
   adscrypto::TrapdoorPermutation perm_;
-  adscrypto::TrapdoorSecretKey trapdoor_sk_;
+  adscrypto::TrapdoorInverse trapdoor_inverse_;
   adscrypto::ShardedAccumulator sharded_;
   std::optional<adscrypto::AccumulatorTrapdoor> accumulator_trapdoor_;
   crypto::Drbg rng_;

@@ -59,6 +59,31 @@ Bytes error_frame(std::string_view code, std::string_view message,
                       max_frame_bytes);
 }
 
+/// Sums the time spent inside the framing calls on one received chunk, so
+/// the recorded sample leaves out whatever runs between them. Reads no
+/// clock while metrics are off.
+class DecodeClock {
+ public:
+  template <typename F>
+  void time(F&& f) {
+    if (!metrics::enabled()) {
+      f();
+      return;
+    }
+    const auto start = std::chrono::steady_clock::now();
+    f();
+    spent_ += std::chrono::steady_clock::now() - start;
+  }
+
+  void record(metrics::Histogram& h) const {
+    const auto ns = spent_.count();
+    h.record(ns < 0 ? 0 : static_cast<std::uint64_t>(ns));
+  }
+
+ private:
+  std::chrono::nanoseconds spent_{0};
+};
+
 /// Misbehavior tariffs (see the server.hpp header comment).
 constexpr std::size_t kMalformedPoints = 20;
 constexpr std::size_t kUnknownOpcodePoints = 10;
@@ -450,13 +475,17 @@ struct SlicerServer::Impl {
       while (keep_going && !stopping.load()) {
         const Bytes chunk = conn->sock.recv_some();
         if (chunk.empty()) break;  // orderly peer shutdown
-        metrics::ScopedTimer timer(server_metrics().decode_ns);
-        decoder.feed(chunk);
+        // decode_ns times framing alone (feed + next), one sample per
+        // chunk: dispatch() may wait for an admission slot or run inline.
+        DecodeClock decode;
+        decode.time([&] { decoder.feed(chunk); });
         while (keep_going) {
-          std::optional<Frame> frame = decoder.next();
+          std::optional<Frame> frame;
+          decode.time([&] { frame = decoder.next(); });
           if (!frame.has_value()) break;
           keep_going = dispatch(conn, std::move(*frame));
         }
+        decode.record(server_metrics().decode_ns);
       }
     } catch (const DecodeError& e) {
       // Malformed framing: the stream cannot be resynchronized. Report and

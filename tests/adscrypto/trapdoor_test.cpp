@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "adscrypto/params.hpp"
+#include "bigint/primes.hpp"
 #include "common/errors.hpp"
 
 namespace slicer::adscrypto {
@@ -18,8 +21,8 @@ TEST(Trapdoor, ForwardInverseRoundTrip) {
   const TrapdoorPermutation perm(pk);
   for (int i = 0; i < 10; ++i) {
     const BigUint t = perm.random_trapdoor(rng);
-    EXPECT_EQ(perm.forward(perm.inverse(sk, t)), t);
-    EXPECT_EQ(perm.inverse(sk, perm.forward(t)), t);
+    EXPECT_EQ(perm.forward(perm.inverse(TrapdoorInverse(sk), t)), t);
+    EXPECT_EQ(perm.inverse(TrapdoorInverse(sk), perm.forward(t)), t);
   }
 }
 
@@ -32,7 +35,8 @@ TEST(Trapdoor, ChainWalk) {
 
   const BigUint t0 = perm.random_trapdoor(rng);
   std::vector<BigUint> chain = {t0};
-  for (int j = 1; j <= 5; ++j) chain.push_back(perm.inverse(sk, chain.back()));
+  const TrapdoorInverse inverse(sk);
+  for (int j = 1; j <= 5; ++j) chain.push_back(perm.inverse(inverse, chain.back()));
 
   BigUint walker = chain.back();  // newest trapdoor t_5
   for (int j = 5; j > 0; --j) {
@@ -75,7 +79,7 @@ TEST(Trapdoor, KeyMismatchThrows) {
   auto [pk1, sk1] = TrapdoorPermutation::keygen(rng, 128);
   auto [pk2, sk2] = TrapdoorPermutation::keygen(rng, 128);
   const TrapdoorPermutation perm(pk1);
-  EXPECT_THROW(perm.inverse(sk2, BigUint(5)), CryptoError);
+  EXPECT_THROW(perm.inverse(TrapdoorInverse(sk2), BigUint(5)), CryptoError);
 }
 
 TEST(Trapdoor, PublicKeySerializeRoundTrip) {
@@ -91,7 +95,47 @@ TEST(Trapdoor, DefaultKeysRoundTrip) {
   EXPECT_EQ(perm.public_key().n.bit_length(), 1024u);
   auto rng = test_rng();
   const BigUint t = perm.random_trapdoor(rng);
-  EXPECT_EQ(perm.forward(perm.inverse(default_trapdoor_secret_key(), t)), t);
+  EXPECT_EQ(
+      perm.forward(perm.inverse(TrapdoorInverse(default_trapdoor_secret_key()), t)),
+      t);
+}
+
+TEST(Trapdoor, DefaultKeyFactorsMultiplyToModulus) {
+  const TrapdoorSecretKey& sk = default_trapdoor_secret_key();
+  EXPECT_EQ(sk.p * sk.q, sk.n);
+  EXPECT_EQ(sk.p.bit_length(), 512u);
+  EXPECT_EQ(sk.q.bit_length(), 512u);
+  EXPECT_EQ(sk.n, default_trapdoor_public_key().n);
+}
+
+TEST(Trapdoor, CrtInverseMatchesPlainExponentiation) {
+  // The CRT path must be bit-identical to y^d mod n on every input of Z_n,
+  // including the non-units (multiples of p or q) and the edges.
+  auto rng = test_rng();
+  auto [pk, small_sk] = TrapdoorPermutation::keygen(rng, 256);
+  (void)pk;
+  for (const TrapdoorSecretKey& sk :
+       {small_sk, default_trapdoor_secret_key()}) {
+    const TrapdoorInverse inverse(sk);
+    const bigint::Montgomery mont(sk.n);
+    std::vector<BigUint> ys{BigUint(0),      BigUint(1), sk.n - BigUint(1),
+                            sk.p,            sk.q,       sk.p * BigUint(3),
+                            sk.q * BigUint(7)};
+    for (int i = 0; i < 32; ++i) ys.push_back(bigint::random_below(rng, sk.n));
+    for (const BigUint& y : ys)
+      EXPECT_EQ(inverse(y), mont.pow(y, sk.d)) << y.to_hex();
+  }
+}
+
+TEST(Trapdoor, CrtContextRejectsWrongFactors) {
+  auto rng = test_rng();
+  auto [pk, sk] = TrapdoorPermutation::keygen(rng, 128);
+  (void)pk;
+  TrapdoorSecretKey bad = sk;
+  bad.q = bad.q + BigUint(2);
+  EXPECT_THROW(TrapdoorInverse{bad}, CryptoError);
+  TrapdoorSecretKey missing{sk.n, sk.d, BigUint(0), BigUint(0)};
+  EXPECT_THROW(TrapdoorInverse{missing}, CryptoError);
 }
 
 TEST(Trapdoor, KeygenRejectsTinyModulus) {

@@ -177,6 +177,48 @@ TEST(ShardedProtocol, AsyncRefreshMatchesSynchronous) {
                            replies_during, async_rig.config.prime_bits));
 }
 
+TEST(ShardedProtocol, AsyncGroupedRefreshMatchesOnDemandWitnesses) {
+  // Property over the background refresh: after each of several batches of
+  // growing size (one record up to enough to span several new witness
+  // groups per shard), the refreshed cache serves every queried witness —
+  // no on-demand fallback — and each equals the exact on-demand witness of
+  // a cloud that never caches.
+  const metrics::ScopedMetrics scoped;
+  const auto& misses = metrics::counter("core.cloud.witness_cache.misses");
+  const std::vector<std::size_t> batch_sizes{1, 3, 12, 40};
+  for (const std::size_t k : {1u, 2u, 4u, 8u}) {
+    Rig cached = Rig::make(8, "shard-async-prop", {}, k);
+    Rig on_demand = Rig::make(8, "shard-async-prop", {}, k);
+    cached.cloud->precompute_witnesses();
+    cached.cloud->set_async_witness_refresh(true);
+    std::uint64_t id = 1;
+    for (const std::size_t n : batch_sizes) {
+      std::vector<Record> batch;
+      for (std::size_t i = 0; i < n; ++i, ++id)
+        batch.push_back({id, (id * 151 + 7) % 256});
+      cached.ingest(batch);
+      on_demand.ingest(batch);
+      cached.cloud->wait_for_witness_refresh();
+      for (const std::uint64_t value : {0ull, 42ull, 111ull, 200ull, 255ull}) {
+        for (const auto mc : {MatchCondition::kEqual, MatchCondition::kGreater,
+                              MatchCondition::kLess}) {
+          const auto tokens = cached.user->make_tokens(value, mc);
+          const std::uint64_t misses_before = misses.value();
+          const auto replies = cached.cloud->search(tokens);
+          EXPECT_EQ(misses.value(), misses_before)
+              << "k=" << k << " batch=" << n << " v=" << value;
+          const auto expected =
+              on_demand.cloud->search(on_demand.user->make_tokens(value, mc));
+          ASSERT_EQ(replies.size(), expected.size());
+          for (std::size_t i = 0; i < replies.size(); ++i)
+            EXPECT_EQ(replies[i].witness, expected[i].witness)
+                << "k=" << k << " batch=" << n << " v=" << value << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(ShardedProtocol, SnapshotRoundTripAtK4) {
   // The snapshot wire format is shard-agnostic; a K = 4 deployment restores
   // from it by recomputing its shard values from the flat prime list.

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <thread>
 
+#include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
 #include "core/verify.hpp"
 #include "net/client.hpp"
@@ -133,6 +134,32 @@ void run_every_opcode(std::size_t threads) {
 
 TEST(Loopback, EveryOpcodeSingleLane) { run_every_opcode(1); }
 TEST(Loopback, EveryOpcodeFourLanes) { run_every_opcode(4); }
+
+TEST(Loopback, DecodeTimeExcludesInlineHandling) {
+  // A single-lane pool runs each handler inline on the reader thread, in
+  // the middle of the framing loop. decode_ns must still time framing
+  // alone: a slow handler (an APPLY that derives every witness) leaves it
+  // far below handle_ns.
+  ThreadPool::ScopedPool pool(1);
+  const metrics::ScopedMetrics scoped;
+  Rig rig = Rig::make(8, "net-decode", {}, 1);
+  rig.cloud->precompute_witnesses();
+  const core::UpdateOutput update = rig.owner->insert(sample_records());
+
+  SlicerServer server;
+  server.add_tenant("alpha", take_cloud(rig));
+  server.start();
+  SlicerClientChannel ch(server.port(), "alpha");
+  EXPECT_EQ(ch.apply(update), rig.owner->primes().size());
+  server.stop();
+
+  const auto& decode = metrics::histogram("net.server.decode_ns");
+  const auto& handle = metrics::histogram("net.server.handle_ns");
+  ASSERT_GT(decode.count(), 0u);
+  ASSERT_GT(handle.count(), 0u);
+  EXPECT_LT(decode.sum() * 10, handle.sum())
+      << "decode " << decode.sum() << " ns, handle " << handle.sum() << " ns";
+}
 
 TEST(Loopback, TenantIsolation) {
   Rig alpha = Rig::make(8, "net-tenant-a", {}, 1);
