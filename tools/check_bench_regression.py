@@ -17,7 +17,8 @@ Structural checks ride along:
     benchmark looks exactly like a fixed regression),
   * for BENCH_mixed_workload.json, insert throughput at the highest shard
     count must stay at least --min-shard-speedup times the K=1 throughput —
-    the sharded accumulator's reason to exist,
+    the sharded accumulator's reason to exist — and, deterministically,
+    the insert rows' refresh_exp_bits counter must fall strictly with K,
   * for BENCH_fig6_search_overhead.json, every Fig6/VerifyAggregated row
     must ship no more witnesses than shards, strictly fewer VO bytes than
     its Fig6/VerifyPerToken counterpart (the aggregation's deterministic
@@ -111,6 +112,37 @@ def check_shard_speedup(current_path, args):
         f"{speedup:.2f}x K=1 ({by_k[top_k]:.1f} vs {base:.1f} rec/s)"
     )
     return []
+
+
+def check_shard_refresh_bits(current_path):
+    """Refresh exponent bits must fall strictly as the shard count grows.
+
+    A deterministic companion to the wall-time shard-scaling floor: routing
+    a batch over more shards shrinks each shard's refresh, so the summed
+    exponent bits of every refresh modexp drop with K on any machine."""
+    rows = load_rows(current_path)
+    by_k = {}
+    for name, row in rows.items():
+        if name.startswith("MixedWorkload/Insert/K="):
+            k = int(name.split("=", 1)[1])
+            if "refresh_exp_bits" not in row:
+                return [f"{name}: no refresh_exp_bits counter"]
+            by_k[k] = float(row["refresh_exp_bits"])
+    if len(by_k) < 2:
+        return [f"{current_path}: fewer than two MixedWorkload/Insert rows"]
+    ks = sorted(by_k)
+    failures = [
+        f"MixedWorkload refresh_exp_bits K={hi} ({by_k[hi]:.0f}) not below "
+        f"K={lo} ({by_k[lo]:.0f})"
+        for lo, hi in zip(ks, ks[1:])
+        if not by_k[hi] < by_k[lo]
+    ]
+    if not failures:
+        print(
+            "  refresh exponent bits fall with K: "
+            + ", ".join(f"K={k} {by_k[k]:.0f}" for k in ks)
+        )
+    return failures
 
 
 def check_aggregate_speedup(current_path, args):
@@ -361,6 +393,7 @@ def main():
         failures = check_file(path, baseline_path, args)
         if name == "BENCH_mixed_workload.json":
             failures += check_shard_speedup(path, args)
+            failures += check_shard_refresh_bits(path)
         if name == "BENCH_fig6_search_overhead.json":
             failures += check_aggregate_speedup(path, args)
         if name == "BENCH_throughput.json":
