@@ -8,6 +8,7 @@
 // what EXPERIMENTS.md compares.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -236,6 +237,20 @@ inline void report_fastpath(BenchJson& json, const std::string& label,
             fast_ms,
             iterations,
             {{"fastpath_speedup", speedup}}});
+}
+
+/// Exact-sample percentile, p in [0, 1]: linear interpolation between the
+/// two samples nearest rank p·(n−1). 0 for no samples. Below ~1/(1−p)
+/// samples the upper percentiles are just the maximum, so a bench with few
+/// samples should report the median only.
+inline double percentile(std::vector<double> samples, double p) {
+  if (samples.empty()) return 0;
+  std::sort(samples.begin(), samples.end());
+  const double rank = p * static_cast<double>(samples.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  return samples[lo] +
+         (samples[hi] - samples[lo]) * (rank - static_cast<double>(lo));
 }
 
 /// Random query values drawn like the paper's "select random numbers".

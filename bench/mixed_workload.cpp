@@ -8,8 +8,8 @@
 //     records_per_s throughput (owner insert + cloud apply incl. refresh),
 //     plus the refresh's deterministic cost counters: exponent bits over
 //     every refresh modexp and the witness groups re-derived
-//   * MixedWorkload/Query/K=<k>  — p50/p99 end-to-end search latency taken
-//     from the core.cloud.search_ns metrics histogram
+//   * MixedWorkload/Query/K=<k>  — exact-sample median of the cloud search
+//     time over the 16 queries (too few samples for a meaningful p99)
 //
 // The refresh dominates the insert path once the cache holds a few hundred
 // witnesses: each witness group's root absorbs the batch's routed prime
@@ -33,30 +33,14 @@ std::size_t floored(double base, std::size_t floor_value) {
   return std::max(floor_value, static_cast<std::size_t>(base * scale()));
 }
 
-/// Approximate quantile of a log₂-bucketed nanosecond histogram, in
-/// milliseconds: the upper bound of the bucket where the cumulative count
-/// crosses rank q·count.
-double histogram_quantile_ms(const metrics::Histogram& h, double q) {
-  const std::uint64_t count = h.count();
-  if (count == 0) return 0;
-  const std::uint64_t rank =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(q * count));
-  std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < metrics::Histogram::kBuckets; ++b) {
-    cumulative += h.bucket(b);
-    if (cumulative >= rank)
-      return (b == 0 ? 0.0 : static_cast<double>(1ull << b)) / 1e6;
-  }
-  return static_cast<double>(h.sum()) / 1e6;
-}
-
 void run_shard_count(BenchJson& json, std::size_t k) {
   const std::size_t preload = floored(1024, 256);
   const std::size_t batch_size = floored(128, 32);
   const std::size_t rounds = 2;
   const std::size_t queries = 16;
 
-  // Per-K metrics scope: the query histogram starts from zero each run.
+  // Per-K metrics scope: recording is on for the refresh counters, and
+  // every instrument starts from zero each run.
   const metrics::ScopedMetrics scoped;
 
   auto world = make_world(kBits, preload, /*ingest=*/true, /*shard_count=*/k);
@@ -100,25 +84,29 @@ void run_shard_count(BenchJson& json, std::size_t k) {
       crypto::Drbg(str_bytes("mixed-user-" + std::to_string(k))));
   const auto values = query_values(kBits, queries, "mixed-q");
   std::size_t verified = 0;
+  std::vector<double> search_ms;
+  search_ms.reserve(values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     const auto mc = i % 2 == 0 ? core::MatchCondition::kGreater
                                : core::MatchCondition::kLess;
     const auto tokens = world->user->make_tokens(values[i], mc);
+    const auto search_start = std::chrono::steady_clock::now();
     const auto replies = world->cloud->search(tokens);
+    search_ms.push_back(std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - search_start)
+                            .count());
     if (core::verify_query(world->acc_params, world->cloud->shard_values(),
                            tokens, replies, world->config.prime_bits))
       ++verified;
   }
-  const auto& search_ns = metrics::histogram("core.cloud.search_ns");
-  const double p50 = histogram_quantile_ms(search_ns, 0.50);
-  const double p99 = histogram_quantile_ms(search_ns, 0.99);
+  const double p50 = percentile(std::move(search_ms), 0.50);
 
   std::printf(
       "K=%zu  insert %8.1f ms (%7.1f rec/s, %zu witnesses, refresh %.0f exp "
       "bits, %.0f groups re-derived)  "
-      "query p50 %.2f ms p99 %.2f ms  (%zu/%zu verified)\n",
+      "query p50 %.3f ms  (%zu/%zu verified)\n",
       k, insert_ms, throughput, cache_size, refresh_bits, groups_rederived,
-      p50, p99, verified, values.size());
+      p50, verified, values.size());
 
   json.add({"MixedWorkload/Insert/K=" + std::to_string(k),
             insert_ms,
@@ -135,7 +123,6 @@ void run_shard_count(BenchJson& json, std::size_t k) {
             static_cast<std::int64_t>(values.size()),
             {{"shards", static_cast<double>(k)},
              {"p50_ms", p50},
-             {"p99_ms", p99},
              {"verified", static_cast<double>(verified)}}});
 }
 

@@ -138,26 +138,6 @@ void run_config(BenchJson& json, std::size_t bits, std::size_t count) {
   table.phase("Verify/Order" + tag, "core.verify.query_ns",
               [&] { run_queries(ord_values, MatchCondition::kGreater, true, true); },
               {"adscrypto.accumulator.verifies"});
-
-  // Aggregated read path, run twice over the same queries: the second pass
-  // is served from the hot-token proof cache, so the embedded snapshot
-  // records both proof_cache.misses (first pass) and proof_cache.hits.
-  table.phase(
-      "Verify/Aggregated" + tag, "core.verify.aggregate_query_ns",
-      [&] {
-        for (int pass = 0; pass < 2; ++pass) {
-          for (const std::uint64_t q : ord_values) {
-            const auto tokens =
-                world->user->make_tokens(q, MatchCondition::kGreater);
-            const auto reply = world->cloud->search_aggregated(tokens);
-            (void)core::verify_query_aggregated(
-                world->acc_params, world->cloud->shard_values(), tokens,
-                reply, world->config.prime_bits);
-          }
-        }
-      },
-      {"core.cloud.proof_cache.hits", "core.cloud.proof_cache.misses",
-       "core.verify.aggregate_shard_checks"});
 }
 
 }  // namespace

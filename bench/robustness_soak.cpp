@@ -116,10 +116,8 @@ bool soak_detection(BenchJson& json) {
 /// Plan-level taxonomy soak: the clause batch of a planner query is the
 /// attack surface (drop a clause reply, swap two clauses' replies, serve
 /// one clause from a pre-update recording). Each seed batches a gt/lt
-/// clause pair with alternating read paths, so both the legacy and the
-/// aggregated clause verifiers face every operation. Returns false on any
-/// false accept (tampered batch verifying) or false reject (honest batch
-/// failing).
+/// clause pair. Returns false on any false accept (tampered batch
+/// verifying) or false reject (honest batch failing).
 bool soak_plan_detection(BenchJson& json) {
   const std::size_t count = static_cast<std::size_t>(200 * scale());
   World& world = cached_world(8, count);
@@ -129,12 +127,10 @@ bool soak_plan_detection(BenchJson& json) {
   bool ok = true;
   core::RecordId stale_id = 300'000;
 
-  const auto make_requests = [&world](std::uint64_t pivot, int seed) {
+  const auto make_requests = [&world](std::uint64_t pivot) {
     std::vector<core::ClauseRequest> requests(2);
-    requests[0].aggregated = seed % 2 == 0;
     requests[0].tokens =
         world.user->make_tokens(pivot, core::MatchCondition::kGreater);
-    requests[1].aggregated = seed % 2 == 1;
     requests[1].tokens =
         world.user->make_tokens(pivot, core::MatchCondition::kLess);
     return requests;
@@ -146,8 +142,7 @@ bool soak_plan_detection(BenchJson& json) {
     double honest_ms = 0;
     for (int seed = 0; seed < kSeeds; ++seed) {
       const auto requests = make_requests(
-          query_values(8, kSeeds, "plan-soak")[static_cast<std::size_t>(seed)],
-          seed);
+          query_values(8, kSeeds, "plan-soak")[static_cast<std::size_t>(seed)]);
       const auto t0 = std::chrono::steady_clock::now();
       const auto replies = world.cloud->search_plan(requests);
       const auto pv =
@@ -176,7 +171,7 @@ bool soak_plan_detection(BenchJson& json) {
     for (int seed = 0; seed < kSeeds; ++seed) {
       const std::uint64_t pivot =
           query_values(8, kSeeds, "plan-soak")[static_cast<std::size_t>(seed)];
-      const auto requests = make_requests(pivot, seed);
+      const auto requests = make_requests(pivot);
       core::MaliciousCloud mal(*world.cloud, tamper,
                                static_cast<std::uint64_t>(seed));
       if (tamper == core::Tamper::kStaleClauseVO) {
@@ -675,14 +670,6 @@ bool soak_mempool_flood(BenchJson& json) {
   return ok;
 }
 
-double percentile_ms(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0;
-  const double rank = p * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - static_cast<double>(lo));
-}
-
 /// One tenant floods the wire server; a victim tenant's latency must stay
 /// bounded. Phases: (1) unloaded victim p99 baseline, (2) the
 /// `net.tenant.flood` fault site drains the flooder's bucket on demand
@@ -718,8 +705,7 @@ bool soak_wire_flood(BenchJson& json) {
       lat.push_back(ms_since(t0));
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    std::sort(lat.begin(), lat.end());
-    return percentile_ms(lat, 0.99);
+    return percentile(std::move(lat), 0.99);
   };
 
   const double base_p99 = measure_victim();

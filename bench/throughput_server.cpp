@@ -1,9 +1,9 @@
 // Wire-protocol throughput: N concurrent loopback clients driving one
 // SlicerServer, measuring end-to-end request latency (client send → reply
-// decoded) for the legacy per-token read path (SEARCH) and the aggregated
-// one (SEARCH_AGGREGATED) at K ∈ {1, 4, 8} tokens per request.
+// decoded) for the per-token read path (SEARCH) at K ∈ {1, 4, 8} tokens per
+// request.
 //
-// Emits BENCH_throughput.json with one row per (mode, K): qps plus p50/p99
+// Emits BENCH_throughput.json with one row per K: qps plus p50/p99
 // latency in milliseconds. Custom main (no google-benchmark): the unit of
 // measurement is a concurrent client fleet, not a single-threaded loop.
 //
@@ -27,15 +27,6 @@ namespace slicer::bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double percentile(std::vector<double>& sorted_ms, double p) {
-  if (sorted_ms.empty()) return 0;
-  const double rank = p * static_cast<double>(sorted_ms.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted_ms.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted_ms[lo] + (sorted_ms[hi] - sorted_ms[lo]) * frac;
-}
 
 /// One request's worth of tokens: a K-wide window into a flat token pool
 /// drawn from many random query values.
@@ -67,7 +58,7 @@ struct RunResult {
 
 /// Drives `clients` concurrent channels, each issuing `per_client` requests
 /// round-robin over its pre-generated token batches.
-RunResult run_fleet(std::uint16_t port, bool aggregated, std::size_t clients,
+RunResult run_fleet(std::uint16_t port, std::size_t clients,
                     std::size_t per_client,
                     const std::vector<std::vector<core::SearchToken>>& batches) {
   std::vector<std::vector<double>> latencies(clients);
@@ -82,11 +73,7 @@ RunResult run_fleet(std::uint16_t port, bool aggregated, std::size_t clients,
       for (std::size_t i = 0; i < per_client; ++i) {
         const auto& tokens = batches[(c * per_client + i) % batches.size()];
         const auto start = Clock::now();
-        if (aggregated) {
-          (void)channel.search_aggregated(tokens);
-        } else {
-          (void)channel.search(tokens);
-        }
+        (void)channel.search(tokens);
         out.push_back(std::chrono::duration<double, std::milli>(Clock::now() -
                                                                 start)
                           .count());
@@ -100,7 +87,6 @@ RunResult run_fleet(std::uint16_t port, bool aggregated, std::size_t clients,
   RunResult result;
   std::vector<double> all;
   for (auto& v : latencies) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end());
   result.requests = all.size();
   result.qps = wall_s > 0 ? static_cast<double>(all.size()) / wall_s : 0;
   result.p50_ms = percentile(all, 0.50);
@@ -131,42 +117,31 @@ int throughput_main() {
         make_request_batches(*world, k, std::max<std::size_t>(per_client, 16));
     if (batches.empty()) continue;
 
-    // Correctness gate before timing: one request per mode must verify
-    // against the owner's trusted digests.
+    // Correctness gate before timing: one request must verify against the
+    // owner's trusted digests.
     {
       net::SlicerClientChannel probe(port, "bench");
       const auto replies = probe.search(batches.front());
       if (!core::verify_query(world->acc_params, shard_values, batches.front(),
                               replies, world->config.prime_bits)) {
-        std::fprintf(stderr, "throughput: legacy VO failed verification\n");
-        return 1;
-      }
-      const auto agg = probe.search_aggregated(batches.front());
-      if (!core::verify_query_aggregated(world->acc_params, shard_values,
-                                         batches.front(), agg,
-                                         world->config.prime_bits)) {
-        std::fprintf(stderr, "throughput: aggregated VO failed verification\n");
+        std::fprintf(stderr, "throughput: VO failed verification\n");
         return 1;
       }
     }
 
-    for (const bool aggregated : {false, true}) {
-      const char* mode = aggregated ? "aggregated" : "legacy";
-      const RunResult r = run_fleet(port, aggregated, clients, per_client,
-                                    batches);
-      std::printf("%-28s K=%zu  %8.1f qps  p50 %7.3f ms  p99 %7.3f ms\n",
-                  mode, k, r.qps, r.p50_ms, r.p99_ms);
-      BenchRow row;
-      row.name = std::string("throughput/") + mode + "/K" + std::to_string(k);
-      row.real_ms = r.p50_ms;
-      row.iterations = static_cast<std::int64_t>(r.requests);
-      row.counters = {{"qps", r.qps},
-                      {"p50_ms", r.p50_ms},
-                      {"p99_ms", r.p99_ms},
-                      {"tokens_per_request", static_cast<double>(k)},
-                      {"clients", static_cast<double>(clients)}};
-      json.add(std::move(row));
-    }
+    const RunResult r = run_fleet(port, clients, per_client, batches);
+    std::printf("%-28s K=%zu  %8.1f qps  p50 %7.3f ms  p99 %7.3f ms\n",
+                "legacy", k, r.qps, r.p50_ms, r.p99_ms);
+    BenchRow row;
+    row.name = "throughput/legacy/K" + std::to_string(k);
+    row.real_ms = r.p50_ms;
+    row.iterations = static_cast<std::int64_t>(r.requests);
+    row.counters = {{"qps", r.qps},
+                    {"p50_ms", r.p50_ms},
+                    {"p99_ms", r.p99_ms},
+                    {"tokens_per_request", static_cast<double>(k)},
+                    {"clients", static_cast<double>(clients)}};
+    json.add(std::move(row));
   }
   server.stop();
   json.write();

@@ -40,10 +40,6 @@ std::string_view tamper_name(Tamper t) {
     case Tamper::kForgeWitness: return "forge_witness";
     case Tamper::kStaleReplay: return "stale_replay";
     case Tamper::kWrongAccumulator: return "wrong_accumulator";
-    case Tamper::kForgeAggregateWitness: return "forge_aggregate_witness";
-    case Tamper::kSwapAggregateWitnesses: return "swap_aggregate_witnesses";
-    case Tamper::kDropAggregateShard: return "drop_aggregate_shard";
-    case Tamper::kStaleAggregateReplay: return "stale_aggregate_replay";
     case Tamper::kDropClause: return "drop_clause";
     case Tamper::kSwapClauseReplies: return "swap_clause_replies";
     case Tamper::kStaleClauseVO: return "stale_clause_vo";
@@ -60,146 +56,6 @@ std::uint64_t MaliciousCloud::rand(std::uint64_t bound) const {
 
 void MaliciousCloud::record_stale(std::span<const SearchToken> tokens) {
   stale_ = honest_.search(tokens);
-}
-
-void MaliciousCloud::record_stale_aggregated(
-    std::span<const SearchToken> tokens) {
-  stale_agg_ = honest_.search_aggregated(tokens);
-}
-
-MaliciousCloud::AggregateOutput MaliciousCloud::search_aggregated(
-    std::span<const SearchToken> tokens) const {
-  AggregateOutput out;
-  out.reply = honest_.search_aggregated(tokens);
-  std::vector<std::vector<Bytes>>& results = out.reply.token_results;
-  std::vector<AggregateWitness>& witnesses = out.reply.witnesses;
-  if (results.empty()) return out;
-
-  // Indices of token result lists with at least `min` ciphertexts.
-  const auto result_candidates = [&](std::size_t min) {
-    std::vector<std::size_t> c;
-    for (std::size_t i = 0; i < results.size(); ++i)
-      if (results[i].size() >= min) c.push_back(i);
-    return c;
-  };
-
-  switch (tamper_) {
-    case Tamper::kNone:
-      break;
-
-    case Tamper::kDropResult: {
-      const auto c = result_candidates(1);
-      if (c.empty()) break;
-      auto& er = results[c[rand(c.size())]];
-      er.erase(er.begin() + static_cast<std::ptrdiff_t>(rand(er.size())));
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kDuplicateResult: {
-      const auto c = result_candidates(1);
-      if (c.empty()) break;
-      auto& er = results[c[rand(c.size())]];
-      er.push_back(er[rand(er.size())]);
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kReorderResults: {
-      const auto c = result_candidates(2);
-      if (c.empty()) break;
-      auto& er = results[c[rand(c.size())]];
-      std::rotate(er.begin(), er.begin() + 1 + static_cast<std::ptrdiff_t>(
-                                                  rand(er.size() - 1)),
-                  er.end());
-      out.tampered = true;  // tampered, but benign: must still verify
-      break;
-    }
-
-    case Tamper::kForgeCiphertext: {
-      const auto c = result_candidates(1);
-      if (c.empty()) break;
-      auto& er = results[c[rand(c.size())]];
-      Bytes& victim = er[rand(er.size())];
-      if (victim.empty()) break;
-      victim[rand(victim.size())] ^= static_cast<std::uint8_t>(1 + rand(255));
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kTruncateCiphertext: {
-      const auto c = result_candidates(1);
-      if (c.empty()) break;
-      auto& er = results[c[rand(c.size())]];
-      Bytes& victim = er[rand(er.size())];
-      if (victim.empty()) break;
-      victim.pop_back();
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kInjectResult: {
-      Bytes fake(16);
-      for (auto& b : fake) b = static_cast<std::uint8_t>(rand(256));
-      results[rand(results.size())].push_back(std::move(fake));
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kEmptyClaim: {
-      const auto c = result_candidates(1);
-      if (c.empty()) break;
-      results[c[rand(c.size())]].clear();
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kForgeAggregateWitness: {
-      if (witnesses.empty()) break;
-      bigint::BigUint& w = witnesses[rand(witnesses.size())].witness;
-      w = bigint::BigUint::add_mod(w, bigint::BigUint(1),
-                                   honest_.accumulator_params().modulus);
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kSwapAggregateWitnesses: {
-      if (witnesses.size() < 2) break;
-      const std::size_t i = rand(witnesses.size());
-      std::size_t k = rand(witnesses.size() - 1);
-      if (k >= i) ++k;
-      if (witnesses[i].witness == witnesses[k].witness) break;  // no-op swap
-      // Swap only the witness values: the shard list stays canonical, so
-      // the forgery must be caught by the modexp, not the shape check.
-      std::swap(witnesses[i].witness, witnesses[k].witness);
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kDropAggregateShard: {
-      if (witnesses.empty()) break;
-      witnesses.erase(witnesses.begin() +
-                      static_cast<std::ptrdiff_t>(rand(witnesses.size())));
-      out.tampered = true;
-      break;
-    }
-
-    case Tamper::kStaleAggregateReplay: {
-      if (stale_agg_.token_results.size() != results.size())
-        break;  // record_stale_aggregated not run for this query shape
-      if (stale_agg_ == out.reply) break;  // nothing changed: not stale
-      out.reply = stale_agg_;
-      out.tampered = true;
-      break;
-    }
-
-    default:
-      // Per-token-only operations (kSwapWitnesses, kForgeWitness,
-      // kWrongAccumulator, kStaleReplay) have no aggregate analogue to act
-      // on: honest passthrough, tampered stays false so soaks skip them.
-      break;
-  }
-  return out;
 }
 
 MaliciousCloud::Output MaliciousCloud::search(
@@ -330,15 +186,11 @@ MaliciousCloud::Output MaliciousCloud::search(
       break;
     }
 
-    case Tamper::kForgeAggregateWitness:
-    case Tamper::kSwapAggregateWitnesses:
-    case Tamper::kDropAggregateShard:
-    case Tamper::kStaleAggregateReplay:
     case Tamper::kDropClause:
     case Tamper::kSwapClauseReplies:
     case Tamper::kStaleClauseVO:
-      // Aggregate-only and plan-only operations have no per-token reply to
-      // act on: honest passthrough, tampered stays false so soaks skip them.
+      // Plan-only operations have no per-token reply to act on: honest
+      // passthrough, tampered stays false so soaks skip them.
       break;
   }
   return out;
@@ -391,44 +243,18 @@ MaliciousCloud::PlanOutput MaliciousCloud::search_plan(
     }
 
     default: {
-      // Route a single-reply taxonomy member into one victim clause of a
-      // read path it can act on; every other clause answers honestly.
-      const bool aggregate_only = tamper_ == Tamper::kForgeAggregateWitness ||
-                                  tamper_ == Tamper::kSwapAggregateWitnesses ||
-                                  tamper_ == Tamper::kDropAggregateShard ||
-                                  tamper_ == Tamper::kStaleAggregateReplay;
-      const bool token_only = tamper_ == Tamper::kSwapWitnesses ||
-                              tamper_ == Tamper::kForgeWitness ||
-                              tamper_ == Tamper::kStaleReplay ||
-                              tamper_ == Tamper::kWrongAccumulator;
-      std::vector<std::size_t> victims;
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (aggregate_only && !requests[i].aggregated) continue;
-        if (token_only && requests[i].aggregated) continue;
-        victims.push_back(i);
-      }
-      const std::size_t victim =
-          victims.empty() ? requests.size() : victims[rand(victims.size())];
+      // Route a single-reply taxonomy member into one victim clause; every
+      // other clause answers honestly.
+      const std::size_t victim = requests.empty() ? 0 : rand(requests.size());
       out.replies.reserve(requests.size());
       for (std::size_t i = 0; i < requests.size(); ++i) {
-        ClauseReply reply;
-        reply.aggregated = requests[i].aggregated;
         if (i == victim) {
-          if (requests[i].aggregated) {
-            AggregateOutput agg = search_aggregated(requests[i].tokens);
-            reply.query_reply = std::move(agg.reply);
-            out.tampered = agg.tampered;
-          } else {
-            Output tok = search(requests[i].tokens);
-            reply.replies = std::move(tok.replies);
-            out.tampered = tok.tampered;
-          }
-        } else if (requests[i].aggregated) {
-          reply.query_reply = honest_.search_aggregated(requests[i].tokens);
+          Output tok = search(requests[i].tokens);
+          out.replies.push_back(ClauseReply{std::move(tok.replies)});
+          out.tampered = tok.tampered;
         } else {
-          reply.replies = honest_.search(requests[i].tokens);
+          out.replies.push_back(ClauseReply{honest_.search(requests[i].tokens)});
         }
-        out.replies.push_back(std::move(reply));
       }
       break;
     }

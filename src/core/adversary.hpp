@@ -46,11 +46,6 @@ enum class Tamper {
   kForgeWitness,        ///< perturb the witness value
   kStaleReplay,         ///< replay a reply recorded before an update
   kWrongAccumulator,    ///< witness "computed" against the wrong accumulator
-  // Aggregated-VO taxonomy (QueryReply from search_aggregated):
-  kForgeAggregateWitness,   ///< perturb one shard's aggregate witness
-  kSwapAggregateWitnesses,  ///< exchange the witnesses of two shard entries
-  kDropAggregateShard,      ///< omit one touched shard's VO entry entirely
-  kStaleAggregateReplay,    ///< replay a QueryReply recorded before an update
   // Plan-level taxonomy (ClauseReply batch from search_plan):
   kDropClause,         ///< omit one clause's reply from the batch
   kSwapClauseReplies,  ///< exchange the replies of two clauses
@@ -67,24 +62,9 @@ inline constexpr std::array<Tamper, 11> kAllTampers = {
     Tamper::kWrongAccumulator,
 };
 
-/// Taxonomy members applicable to the aggregated read path: every result
-/// tamper (the digest fold is shared with the per-token path) plus the
-/// aggregate-witness operations. kSwapWitnesses / kForgeWitness /
-/// kWrongAccumulator have no per-token witness to act on here; their
-/// aggregate counterparts cover the same intent.
-inline constexpr std::array<Tamper, 11> kAggregateTampers = {
-    Tamper::kDropResult,     Tamper::kDuplicateResult,
-    Tamper::kReorderResults, Tamper::kForgeCiphertext,
-    Tamper::kTruncateCiphertext, Tamper::kInjectResult,
-    Tamper::kEmptyClaim,     Tamper::kForgeAggregateWitness,
-    Tamper::kSwapAggregateWitnesses, Tamper::kDropAggregateShard,
-    Tamper::kStaleAggregateReplay,
-};
-
 /// Taxonomy members that act on the clause batch of a plan search rather
-/// than on any single reply. Every member of kAllTampers/kAggregateTampers
-/// also applies on the plan path — search_plan routes it into one victim
-/// clause of the matching read path.
+/// than on any single reply. Every member of kAllTampers also applies on
+/// the plan path — search_plan routes it into one victim clause.
 inline constexpr std::array<Tamper, 3> kPlanTampers = {
     Tamper::kDropClause,
     Tamper::kSwapClauseReplies,
@@ -112,18 +92,8 @@ class MaliciousCloud {
   MaliciousCloud(const CloudServer& honest, Tamper tamper, std::uint64_t seed)
       : honest_(honest), tamper_(tamper), seed_(seed) {}
 
-  struct AggregateOutput {
-    QueryReply reply;
-    /// Same skip semantics as Output::tampered.
-    bool tampered = false;
-  };
-
   /// Honest search, then the tamper op. Deterministic in (seed, call#).
   Output search(std::span<const SearchToken> tokens) const;
-
-  /// Aggregated-VO counterpart: honest search_aggregated, then one
-  /// operation from kAggregateTampers applied to the QueryReply.
-  AggregateOutput search_aggregated(std::span<const SearchToken> tokens) const;
 
   struct PlanOutput {
     std::vector<ClauseReply> replies;
@@ -133,8 +103,8 @@ class MaliciousCloud {
 
   /// Plan-search counterpart. A kPlanTampers operation acts on the clause
   /// batch itself (drop/swap/stale-replace whole clause replies); any other
-  /// taxonomy member is routed into one randomly chosen victim clause of a
-  /// read path it can act on, with the remaining clauses answered honestly.
+  /// taxonomy member is routed into one randomly chosen victim clause, with
+  /// the remaining clauses answered honestly.
   PlanOutput search_plan(std::span<const ClauseRequest> requests) const;
 
   /// Captures the honest clause replies for `requests` now; a later
@@ -147,9 +117,6 @@ class MaliciousCloud {
   /// the recorded accumulator/witness state is genuinely stale.
   void record_stale(std::span<const SearchToken> tokens);
 
-  /// Aggregated counterpart for kStaleAggregateReplay.
-  void record_stale_aggregated(std::span<const SearchToken> tokens);
-
   Tamper tamper() const { return tamper_; }
 
  private:
@@ -160,7 +127,6 @@ class MaliciousCloud {
   std::uint64_t seed_;
   mutable std::uint64_t draws_ = 0;
   std::vector<TokenReply> stale_;
-  QueryReply stale_agg_;
   std::vector<ClauseReply> stale_plan_;
 };
 

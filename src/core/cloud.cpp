@@ -214,8 +214,10 @@ std::vector<Bytes> CloudServer::fetch_results(const SearchToken& token) const {
   return results;
 }
 
-CloudServer::ProvenToken CloudServer::prove_parts(
-    const SearchToken& token, std::vector<Bytes> results) const {
+TokenReply CloudServer::prove(const SearchToken& token,
+                              std::vector<Bytes> results) const {
+  static metrics::Histogram& prove_ns =
+      metrics::histogram("core.cloud.prove_ns");
   static metrics::Counter& cache_hits =
       metrics::counter("core.cloud.witness_cache.hits");
   static metrics::Counter& cache_misses =
@@ -229,11 +231,14 @@ CloudServer::ProvenToken CloudServer::prove_parts(
   static metrics::Counter& proof_evictions =
       metrics::counter("core.cloud.proof_cache.evictions");
 
-  ProvenToken out;
+  const metrics::ScopedTimer timer(prove_ns);
+  const trace::Span span("cloud.prove");
+  TokenReply out;
+  BigUint prime;
   // Canonical result-set digest (order-insensitive): always recomputed —
   // it is the guard that makes cached primes sound to reuse.
   const MultisetHash::Digest h = results_digest(results);
-  out.results = std::move(results);
+  out.encrypted_results = std::move(results);
 
   const bool cache_on = pcache_->capacity > 0;
   Bytes key;
@@ -244,12 +249,11 @@ CloudServer::ProvenToken CloudServer::prove_parts(
     const std::lock_guard lock(pcache_->mu);
     const auto it = pcache_->entries.find(key);
     if (it != pcache_->entries.end() && it->second.digest == h) {
-      out.prime = it->second.prime;
+      prime = it->second.prime;
       have_prime = true;
       if (it->second.epoch == pcache_->shard_epochs[it->second.pos.shard]) {
         // No insert touched this shard since the entry was stored: the
         // position and witness are still exact.
-        out.pos = it->second.pos;
         out.witness = it->second.witness;
         have_witness = true;
         proof_hits.add();
@@ -264,20 +268,20 @@ CloudServer::ProvenToken CloudServer::prove_parts(
   }
   if (have_witness) return out;
 
-  if (!have_prime) out.prime = token_prime(token, h, prime_bits_);
-  const auto pos = sharded_->find(out.prime);
-  if (!pos.has_value())
+  if (!have_prime) prime = token_prime(token, h, prime_bits_);
+  const auto found = sharded_->find(prime);
+  if (!found.has_value())
     throw ProtocolError("derived prime not in X: index out of sync");
-  out.pos = *pos;
+  const adscrypto::ShardedAccumulator::Pos pos = *found;
 
   // The cache may lag the prime list (a background refresh in flight steals
   // it); any prime it does not cover gets an exact on-demand witness.
   bool from_wit_cache = false;
   {
     const std::shared_lock lock(wit_->mu);
-    if (out.pos.shard < wit_->cache.size() &&
-        out.pos.index < wit_->cache[out.pos.shard].leaves.size()) {
-      out.witness = wit_->cache[out.pos.shard].leaves[out.pos.index];
+    if (pos.shard < wit_->cache.size() &&
+        pos.index < wit_->cache[pos.shard].leaves.size()) {
+      out.witness = wit_->cache[pos.shard].leaves[pos.index];
       from_wit_cache = true;
     }
   }
@@ -285,7 +289,7 @@ CloudServer::ProvenToken CloudServer::prove_parts(
     cache_hits.add();
   } else {
     cache_misses.add();
-    out.witness = sharded_->witness(out.pos);
+    out.witness = sharded_->witness(pos);
   }
 
   if (cache_on) {
@@ -293,9 +297,9 @@ CloudServer::ProvenToken CloudServer::prove_parts(
     const auto it = pcache_->entries.find(key);
     if (it != pcache_->entries.end()) {
       it->second.digest = h;
-      it->second.prime = out.prime;
-      it->second.pos = out.pos;
-      it->second.epoch = pcache_->shard_epochs[out.pos.shard];
+      it->second.prime = prime;
+      it->second.pos = pos;
+      it->second.epoch = pcache_->shard_epochs[pos.shard];
       it->second.witness = out.witness;
       pcache_->lru.splice(pcache_->lru.begin(), pcache_->lru,
                           it->second.lru_it);
@@ -303,8 +307,8 @@ CloudServer::ProvenToken CloudServer::prove_parts(
       pcache_->lru.push_front(key);
       pcache_->entries.emplace(
           std::move(key),
-          ProofCache::Entry{h, out.prime, out.pos,
-                            pcache_->shard_epochs[out.pos.shard], out.witness,
+          ProofCache::Entry{h, prime, pos,
+                            pcache_->shard_epochs[pos.shard], out.witness,
                             pcache_->lru.begin()});
       while (pcache_->entries.size() > pcache_->capacity) {
         pcache_->entries.erase(pcache_->lru.back());
@@ -321,19 +325,6 @@ void CloudServer::reset_proof_cache() {
   pcache_->entries.clear();
   pcache_->lru.clear();
   for (std::uint64_t& epoch : pcache_->shard_epochs) ++epoch;
-}
-
-TokenReply CloudServer::prove(const SearchToken& token,
-                              std::vector<Bytes> results) const {
-  static metrics::Histogram& prove_ns =
-      metrics::histogram("core.cloud.prove_ns");
-  const metrics::ScopedTimer timer(prove_ns);
-  const trace::Span span("cloud.prove");
-  ProvenToken proven = prove_parts(token, std::move(results));
-  TokenReply reply;
-  reply.encrypted_results = std::move(proven.results);
-  reply.witness = std::move(proven.witness);
-  return reply;
 }
 
 std::vector<TokenReply> CloudServer::search(
@@ -368,52 +359,6 @@ std::vector<TokenReply> CloudServer::search(
       });
 }
 
-QueryReply CloudServer::search_aggregated(
-    std::span<const SearchToken> tokens) const {
-  static metrics::Histogram& search_ns =
-      metrics::histogram("core.cloud.aggregate_search_ns");
-  static metrics::Counter& tokens_served =
-      metrics::counter("core.cloud.tokens_served");
-  static metrics::Counter& witnesses_shipped =
-      metrics::counter("core.cloud.aggregate_witnesses");
-  const metrics::ScopedTimer timer(search_ns);
-  const trace::Span span("cloud.search_aggregated");
-  const auto walks = plan_walks(tokens);
-  auto proven = ThreadPool::instance().parallel_map<ProvenToken>(
-      tokens.size(), [&](std::size_t i) {
-        fault_point_throw("core.cloud.search.worker");
-        ProvenToken p =
-            prove_parts(tokens[i], fetch_results_walk(tokens[i], walks[i]));
-        tokens_served.add();
-        return p;
-      });
-
-  QueryReply out;
-  out.token_results.reserve(proven.size());
-  // Group this query's primes by shard, deduplicating repeated primes:
-  // identical tokens derive the identical (prime, witness) pair, and the
-  // Shamir fold requires pairwise-coprime exponents.
-  std::map<std::uint32_t, std::map<BigUint, BigUint>> per_shard;
-  for (ProvenToken& p : proven) {
-    out.token_results.push_back(std::move(p.results));
-    per_shard[p.pos.shard].emplace(std::move(p.prime), std::move(p.witness));
-  }
-  // std::map iteration gives the canonical strictly-ascending shard order.
-  for (const auto& [shard, fold] : per_shard) {
-    std::vector<BigUint> elements, witnesses;
-    elements.reserve(fold.size());
-    witnesses.reserve(fold.size());
-    for (const auto& [prime, witness] : fold) {
-      elements.push_back(prime);
-      witnesses.push_back(witness);
-    }
-    out.witnesses.push_back(
-        AggregateWitness{shard, sharded_->aggregate_witnesses(elements, witnesses)});
-    witnesses_shipped.add();
-  }
-  return out;
-}
-
 std::vector<ClauseReply> CloudServer::search_plan(
     std::span<const ClauseRequest> requests) const {
   static metrics::Histogram& plan_ns =
@@ -424,17 +369,11 @@ std::vector<ClauseReply> CloudServer::search_plan(
   const trace::Span span("cloud.search_plan");
   std::vector<ClauseReply> out;
   out.reserve(requests.size());
-  // Clauses run sequentially here: each search()/search_aggregated() call
-  // already fans its tokens out on the pool, so nesting another layer of
-  // parallelism would only oversubscribe it.
+  // Clauses run sequentially here: each search() call already fans its
+  // tokens out on the pool, so nesting another layer of parallelism would
+  // only oversubscribe it.
   for (const ClauseRequest& request : requests) {
-    ClauseReply reply;
-    reply.aggregated = request.aggregated;
-    if (request.aggregated)
-      reply.query_reply = search_aggregated(request.tokens);
-    else
-      reply.replies = search(request.tokens);
-    out.push_back(std::move(reply));
+    out.push_back(ClauseReply{search(request.tokens)});
     clauses_served.add();
   }
   return out;

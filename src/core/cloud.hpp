@@ -55,17 +55,11 @@ class CloudServer {
   /// Full search: results + VO for every token.
   std::vector<TokenReply> search(std::span<const SearchToken> tokens) const;
 
-  /// Aggregated search: per-token results plus ONE witness per touched
-  /// shard — the Shamir fold of the per-token witnesses, so the VO is
-  /// ≤ shard_count() group elements regardless of token count. Verified by
-  /// verify_query_aggregated; the legacy per-token search() stays intact.
-  QueryReply search_aggregated(std::span<const SearchToken> tokens) const;
-
   /// Batched plan search: answers every clause of a compiled query plan in
-  /// one call (one wire round trip through net/), each clause on its
-  /// requested read path — replies[i] answers requests[i] with the
-  /// matching shape. Per-clause VOs stay independent, so the client
-  /// verifies each clause on its own and combines only verified sets.
+  /// one call (one wire round trip through net/): replies[i] is search()
+  /// over requests[i]'s tokens. Per-clause VOs stay independent, so the
+  /// client verifies each clause on its own and combines only verified
+  /// sets.
   std::vector<ClauseReply> search_plan(
       std::span<const ClauseRequest> requests) const;
 
@@ -164,20 +158,6 @@ class CloudServer {
     /// primes; all bumped on restore_state).
     std::vector<std::uint64_t> shard_epochs;
   };
-
-  /// Everything prove() derives for one token — search_aggregated consumes
-  /// the parts, prove() wraps them into a TokenReply.
-  struct ProvenToken {
-    std::vector<Bytes> results;
-    bigint::BigUint prime;
-    adscrypto::ShardedAccumulator::Pos pos;
-    bigint::BigUint witness;
-  };
-
-  /// Shared body of prove()/search_aggregated(): digest, prime (proof
-  /// cache, else derived), position and witness for one token's results.
-  ProvenToken prove_parts(const SearchToken& token,
-                          std::vector<Bytes> results) const;
 
   /// Per-query walk plan: for each token, the encoded trapdoor of every
   /// generation it visits (newest → oldest). One trapdoor-permutation step

@@ -59,71 +59,6 @@ std::size_t TokenReply::results_byte_size() const {
   return total;
 }
 
-Bytes QueryReply::serialize() const {
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(token_results.size()));
-  for (const std::vector<Bytes>& results : token_results) {
-    w.u32(static_cast<std::uint32_t>(results.size()));
-    for (const Bytes& er : results) w.bytes(er);
-  }
-  w.u32(static_cast<std::uint32_t>(witnesses.size()));
-  for (const AggregateWitness& aw : witnesses) {
-    w.u32(aw.shard);
-    w.bytes(aw.witness.to_bytes_be());
-  }
-  return std::move(w).take();
-}
-
-QueryReply QueryReply::deserialize(BytesView data) {
-  Reader r(data);
-  QueryReply out;
-  // Count bounds before any allocation: a token's result list is at least
-  // its own 4-byte count, each result at least its 4-byte length prefix,
-  // each witness entry at least shard (4) + length prefix (4).
-  const std::uint32_t n_tokens = r.count(4);
-  out.token_results.reserve(n_tokens);
-  for (std::uint32_t i = 0; i < n_tokens; ++i) {
-    const std::uint32_t n_results = r.count(4);
-    std::vector<Bytes> results;
-    results.reserve(n_results);
-    for (std::uint32_t k = 0; k < n_results; ++k) results.push_back(r.bytes());
-    out.token_results.push_back(std::move(results));
-  }
-  const std::uint32_t n_witnesses = r.count(8);
-  out.witnesses.reserve(n_witnesses);
-  for (std::uint32_t i = 0; i < n_witnesses; ++i) {
-    AggregateWitness aw;
-    aw.shard = r.u32();
-    // Strictly ascending shard indices: at most one aggregate witness per
-    // shard, in the one canonical order.
-    if (i > 0 && aw.shard <= out.witnesses.back().shard)
-      throw DecodeError("aggregate witness shards not strictly ascending");
-    const Bytes witness_raw = r.bytes();
-    if (!witness_raw.empty() && witness_raw.front() == 0)
-      throw DecodeError("non-minimal witness encoding");
-    aw.witness = bigint::BigUint::from_bytes_be(witness_raw);
-    out.witnesses.push_back(std::move(aw));
-  }
-  r.expect_end();
-  return out;
-}
-
-std::size_t QueryReply::results_byte_size() const {
-  std::size_t total = 0;
-  for (const std::vector<Bytes>& results : token_results)
-    for (const Bytes& er : results) total += er.size();
-  return total;
-}
-
-std::size_t QueryReply::vo_byte_size() const {
-  std::size_t total = 0;
-  // Per entry: the shard index plus the length-prefixed witness bytes —
-  // exactly what serialize() emits for the VO section.
-  for (const AggregateWitness& aw : witnesses)
-    total += 4 + 4 + aw.witness.to_bytes_be().size();
-  return total;
-}
-
 adscrypto::MultisetHash::Digest results_digest(std::span<const Bytes> results) {
   return adscrypto::MultisetHash::hash_multiset(results);
 }

@@ -121,9 +121,7 @@ std::string QuerySpec::to_string() const {
 
 QueryOptions QueryOptions::defaults() {
   QueryOptions o;
-  o.aggregated_vo = env::flag_knob("SLICER_AGGREGATE_VO");
   o.strict_intervals = env::flag_knob("SLICER_STRICT_INTERVALS");
-  o.finality_depth = env::size_knob("SLICER_FINALITY_DEPTH", 3, 0, 32);
   return o;
 }
 
@@ -143,8 +141,7 @@ struct Compiler {
     auto [it, inserted] =
         clause_index.try_emplace(key, plan.clauses.size());
     if (inserted) {
-      plan.clauses.push_back(
-          PlanClause{attribute, value, mc, ctx.aggregated});
+      plan.clauses.push_back(PlanClause{attribute, value, mc});
     }
     plan.nodes.push_back(PlanNode{PlanNode::Kind::kClause, it->second, {}});
     return plan.nodes.size() - 1;

@@ -107,24 +107,14 @@ class Pred {
   QuerySpec spec_;
 };
 
-/// Per-query knobs, replacing the ctor-flag / SLICER_AGGREGATE_VO /
-/// SLICER_STRICT_INTERVALS split: every query resolves one QueryOptions and
-/// nothing below it consults the environment. defaults() reads the env
-/// knobs through env::flag_knob / env::size_knob exactly once per call, so
-/// the environment stays a *default*, not a hidden override.
+/// Per-query knobs: every query resolves one QueryOptions and nothing
+/// below it consults the environment. defaults() reads the env knob through
+/// env::flag_knob once per call, so the environment stays a *default*, not
+/// a hidden override.
 struct QueryOptions {
-  /// Read path per clause: false = legacy per-token VOs, true = one
-  /// aggregated witness per touched shard (SLICER_AGGREGATE_VO default).
-  bool aggregated_vo = false;
   /// Throw CryptoError on a provably empty interval instead of compiling
   /// it to a verified-empty clause (SLICER_STRICT_INTERVALS default).
   bool strict_intervals = false;
-  /// Chain-anchor burial depth for callers that verify against an on-chain
-  /// digest via chain::FinalityReader (SLICER_FINALITY_DEPTH default, 3).
-  /// QueryClient's local-trust mode reads the digest off the cloud and
-  /// does not consult it; it is resolved here so chain-anchored deployments
-  /// configure one struct instead of three env knobs.
-  std::size_t finality_depth = 3;
 
   /// The environment-resolved defaults (see above).
   static QueryOptions defaults();
@@ -135,8 +125,6 @@ struct PlanClause {
   std::string attribute;
   std::uint64_t value = 0;
   MatchCondition mc = MatchCondition::kEqual;
-  /// Read path for this clause (plans may mix legacy and aggregated).
-  bool aggregated = false;
 
   bool operator==(const PlanClause&) const = default;
 };
@@ -170,9 +158,6 @@ struct ClausePlan {
 struct PlanContext {
   /// Substituted for leaves with an empty attribute name.
   std::string default_attribute;
-  /// Read path assigned to every clause (callers may retarget per clause
-  /// before run_plan).
-  bool aggregated = false;
   /// Empty intervals throw CryptoError instead of compiling to kEmpty.
   bool strict_intervals = false;
 };
@@ -196,22 +181,17 @@ bool eval_spec(const QuerySpec& spec, const Record& record);
 
 // --- batched clause execution (client <-> cloud, one round trip) ---------
 
-/// One clause of a batched plan search: the clause's search tokens plus
-/// the read path that should serve it.
+/// One clause of a batched plan search: the clause's search tokens.
 struct ClauseRequest {
-  bool aggregated = false;
   std::vector<SearchToken> tokens;
 
   bool operator==(const ClauseRequest&) const = default;
 };
 
-/// The cloud's answer for one clause. Exactly one of the two reply shapes
-/// is populated, matching the request's read path (`aggregated` echoes it;
-/// a mismatch is a protocol violation the verifier rejects).
+/// The cloud's answer for one clause: one TokenReply (results + VO) per
+/// request token, in request order.
 struct ClauseReply {
-  bool aggregated = false;
-  std::vector<TokenReply> replies;  ///< legacy: one VO per token
-  QueryReply query_reply;           ///< aggregated: one VO per touched shard
+  std::vector<TokenReply> replies;
 
   bool operator==(const ClauseReply&) const = default;
 };

@@ -9,7 +9,6 @@
 #include "adscrypto/sharded_accumulator.hpp"
 #include "bigint/montgomery.hpp"
 #include "common/metrics.hpp"
-#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 
 namespace slicer::core {
@@ -133,141 +132,12 @@ QueryVerification verify_query_detailed(
   return out;
 }
 
-bool verify_query_aggregated(const adscrypto::AccumulatorParams& params,
-                             const bigint::BigUint& ac,
-                             std::span<const SearchToken> tokens,
-                             const QueryReply& reply, std::size_t prime_bits) {
-  return verify_query_aggregated(params, std::span(&ac, 1), tokens, reply,
-                                 prime_bits);
-}
-
-bool verify_query_aggregated(const adscrypto::AccumulatorParams& params,
-                             std::span<const bigint::BigUint> shard_values,
-                             std::span<const SearchToken> tokens,
-                             const QueryReply& reply, std::size_t prime_bits) {
-  return verify_query_aggregated_detailed(params, shard_values, tokens, reply,
-                                          prime_bits)
-      .verified;
-}
-
-AggregateVerification verify_query_aggregated_detailed(
-    const adscrypto::AccumulatorParams& params,
-    std::span<const bigint::BigUint> shard_values,
-    std::span<const SearchToken> tokens, const QueryReply& reply,
-    std::size_t prime_bits) {
-  static metrics::Histogram& query_ns =
-      metrics::histogram("core.verify.aggregate_query_ns");
-  static metrics::Counter& shard_checks =
-      metrics::counter("core.verify.aggregate_shard_checks");
-  static metrics::Counter& failures =
-      metrics::counter("core.verify.aggregate_failures");
-  const metrics::ScopedTimer timer(query_ns);
-  const trace::Span span("verify.aggregate");
-
-  AggregateVerification out;
-  out.tokens = tokens.size();
-  if (reply.token_results.size() != tokens.size() || shard_values.empty()) {
-    failures.add();
-    return out;
-  }
-  if (tokens.empty()) {
-    // No tokens, no touched shards: a VO entry for an untouched shard is a
-    // forgery, not an optimization.
-    out.verified = reply.witnesses.empty();
-    if (!out.verified) failures.add();
-    return out;
-  }
-
-  // Every token's prime re-derived from ITS OWN result list — digest fold
-  // plus hash_to_prime are independent per token, so they fan out on the
-  // pool.
-  const std::vector<bigint::BigUint> primes =
-      ThreadPool::instance().parallel_map<bigint::BigUint>(
-          tokens.size(), [&](std::size_t i) {
-            return token_prime(tokens[i],
-                               results_digest(reply.token_results[i]),
-                               prime_bits);
-          });
-
-  // Route each prime with the verifier's OWN shard_of — trusting a
-  // cloud-claimed routing would let it move a prime to a shard whose value
-  // it can satisfy. Duplicate primes (identical tokens) fold once, exactly
-  // as the proving side folds them.
-  const std::size_t k = shard_values.size();
-  std::vector<std::vector<bigint::BigUint>> buckets(k);
-  for (const bigint::BigUint& x : primes) {
-    std::vector<bigint::BigUint>& bucket =
-        buckets[adscrypto::shard_of(x, k)];
-    if (std::find(bucket.begin(), bucket.end(), x) == bucket.end())
-      bucket.push_back(x);
-  }
-
-  // The witness list must cover exactly the touched shards, each once, in
-  // strictly ascending order: extra entries, missing entries, duplicates
-  // and misordered lists all fail before any modexp is spent.
-  bool shape_ok = true;
-  std::vector<bool> covered(k, false);
-  for (std::size_t i = 0; i < reply.witnesses.size() && shape_ok; ++i) {
-    const AggregateWitness& aw = reply.witnesses[i];
-    if (aw.shard >= k || buckets[aw.shard].empty() ||
-        (i > 0 && aw.shard <= reply.witnesses[i - 1].shard))
-      shape_ok = false;
-    else
-      covered[aw.shard] = true;
-  }
-  for (std::size_t s = 0; s < k && shape_ok; ++s)
-    if (!buckets[s].empty() && !covered[s]) shape_ok = false;
-  if (!shape_ok) {
-    failures.add();
-    return out;
-  }
-
-  // One modexp per touched shard, all sharing one Montgomery context,
-  // fanned out on the pool — the O(K) replacement for O(tokens) checks.
-  const bigint::Montgomery mont(params.modulus);
-  const std::vector<char> oks = ThreadPool::instance().parallel_map<char>(
-      reply.witnesses.size(), [&](std::size_t i) {
-        const AggregateWitness& aw = reply.witnesses[i];
-        return adscrypto::ShardedAccumulator::verify_aggregate(
-                   mont, shard_values, aw.shard, buckets[aw.shard],
-                   aw.witness)
-                   ? char{1}
-                   : char{0};
-      });
-  out.shard_checks = reply.witnesses.size();
-  shard_checks.add(out.shard_checks);
-  out.verified = std::all_of(oks.begin(), oks.end(),
-                             [](char ok) { return ok != 0; });
-  if (!out.verified) failures.add();
-  return out;
-}
-
 ClauseVerification verify_clause_reply(
     const adscrypto::AccumulatorParams& params,
     std::span<const bigint::BigUint> shard_values, const ClauseRequest& request,
     const ClauseReply& reply, std::size_t prime_bits) {
-  ClauseVerification out;
-  // The reply must echo the requested read path and carry exactly that
-  // path's shape — a cloud answering a legacy clause with an aggregate VO
-  // (or smuggling both shapes) fails before any crypto is spent.
-  if (reply.aggregated != request.aggregated) return out;
-  if (request.aggregated) {
-    if (!reply.replies.empty()) return out;
-    out.verified = verify_query_aggregated(params, shard_values,
-                                           request.tokens, reply.query_reply,
-                                           prime_bits);
-    out.tokens_verified = out.verified ? request.tokens.size() : 0;
-  } else {
-    if (!reply.query_reply.token_results.empty() ||
-        !reply.query_reply.witnesses.empty())
-      return out;
-    QueryVerification v = verify_query_detailed(
-        params, shard_values, request.tokens, reply.replies, prime_bits);
-    out.verified = v.verified;
-    out.tokens_verified = v.tokens_verified;
-    out.tokens = std::move(v.tokens);
-  }
-  return out;
+  return verify_query_detailed(params, shard_values, request.tokens,
+                               reply.replies, prime_bits);
 }
 
 PlanVerification verify_plan(const adscrypto::AccumulatorParams& params,

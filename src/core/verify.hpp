@@ -76,57 +76,15 @@ QueryVerification verify_query_detailed(
     std::span<const SearchToken> tokens, std::span<const TokenReply> replies,
     std::size_t prime_bits = 64);
 
-/// Outcome of an aggregated-VO verification pass.
-struct AggregateVerification {
-  bool verified = false;       ///< shapes matched and every shard check held
-  std::size_t tokens = 0;      ///< tokens whose primes were derived + folded
-  std::size_t shard_checks = 0;  ///< modexps performed (one per touched shard)
-};
-
-/// Verifies an aggregated query reply (QueryReply from
-/// CloudServer::search_aggregated): derives every token's prime from its
-/// result list (parallel on the pool), folds each shard's distinct primes
-/// with a product tree, and checks ONE modexp per touched shard —
-/// W_s^(∏ x) == value_s — against a single shared Montgomery context. The
-/// reply's witness list must cover exactly the touched shards, each once,
-/// in strictly ascending order; anything else (forged, dropped, swapped or
-/// surplus shard entries) fails. O(K) modexps per query instead of
-/// O(tokens) — the aggregated read path's verification cost.
-bool verify_query_aggregated(const adscrypto::AccumulatorParams& params,
-                             const bigint::BigUint& ac,
-                             std::span<const SearchToken> tokens,
-                             const QueryReply& reply,
-                             std::size_t prime_bits = 64);
-
-/// Shard-aware form (what QueryClient runs in aggregated mode).
-bool verify_query_aggregated(const adscrypto::AccumulatorParams& params,
-                             std::span<const bigint::BigUint> shard_values,
-                             std::span<const SearchToken> tokens,
-                             const QueryReply& reply,
-                             std::size_t prime_bits = 64);
-
-AggregateVerification verify_query_aggregated_detailed(
-    const adscrypto::AccumulatorParams& params,
-    std::span<const bigint::BigUint> shard_values,
-    std::span<const SearchToken> tokens, const QueryReply& reply,
-    std::size_t prime_bits = 64);
-
 /// Outcome of verifying one clause of a batched plan search.
-struct ClauseVerification {
-  bool verified = false;            ///< reply shape matched and proof held
-  std::size_t tokens_verified = 0;  ///< tokens whose proof held
-  /// Per-token detail (legacy read path only — the aggregated proof is
-  /// per-shard, so no per-token attribution exists there).
-  std::vector<TokenVerification> tokens;
-};
+using ClauseVerification = QueryVerification;
 
-/// Verifies one ClauseReply against the ClauseRequest it answers. The reply
-/// must echo the request's read path and carry exactly one reply shape
-/// (legacy per-token replies XOR an aggregated QueryReply); a mode or shape
-/// mismatch fails without touching the crypto. Each clause binds to its own
-/// tokens — every derived prime commits to (token, results), so a reply
-/// swapped in from another clause fails here even if it verifies in
-/// isolation.
+/// Verifies one ClauseReply against the ClauseRequest it answers: one
+/// TokenReply per request token (a dropped or surplus reply fails without
+/// touching the crypto), each checked by verify_query_detailed. Each clause
+/// binds to its own tokens — every derived prime commits to (token,
+/// results), so a reply swapped in from another clause fails here even if
+/// it verifies in isolation.
 ClauseVerification verify_clause_reply(
     const adscrypto::AccumulatorParams& params,
     std::span<const bigint::BigUint> shard_values, const ClauseRequest& request,

@@ -150,15 +150,6 @@ std::vector<core::TokenReply> SlicerClientChannel::search(
   return SearchReply::deserialize(reply).replies;
 }
 
-core::QueryReply SlicerClientChannel::search_aggregated(
-    const std::vector<core::SearchToken>& tokens) {
-  SearchRequest req;
-  req.tokens = tokens;
-  const Bytes reply =
-      roundtrip_idempotent(Op::kSearchAggregated, req.serialize());
-  return core::QueryReply::deserialize(reply);
-}
-
 QueryPlanReply SlicerClientChannel::query_plan(
     const QueryPlanRequest& request) {
   const Bytes reply =

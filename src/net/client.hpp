@@ -84,17 +84,12 @@ class SlicerClientChannel {
   /// returns the tenant's post-apply prime count.
   std::uint64_t apply(const core::UpdateOutput& update);
 
-  /// Legacy per-token search (results + one VO per token). Retried.
+  /// Per-token search (results + one VO per token). Retried.
   std::vector<core::TokenReply> search(
       const std::vector<core::SearchToken>& tokens);
 
-  /// Aggregated search (one folded witness per touched shard). Retried.
-  core::QueryReply search_aggregated(
-      const std::vector<core::SearchToken>& tokens);
-
   /// Whole-plan clause batch: every clause of a compiled boolean query in
-  /// one round trip, each served on its requested read path. Read-only,
-  /// so retried like search.
+  /// one round trip. Read-only, so retried like search.
   QueryPlanReply query_plan(const QueryPlanRequest& request);
 
   /// Results only (no VO). Retried.

@@ -10,7 +10,6 @@ std::string_view op_name(Op op) {
     case Op::kHello: return "hello";
     case Op::kApply: return "apply";
     case Op::kSearch: return "search";
-    case Op::kSearchAggregated: return "search_aggregated";
     case Op::kFetch: return "fetch";
     case Op::kProve: return "prove";
     case Op::kPing: return "ping";
@@ -18,7 +17,6 @@ std::string_view op_name(Op op) {
     case Op::kHelloOk: return "hello_ok";
     case Op::kApplyOk: return "apply_ok";
     case Op::kSearchReply: return "search_reply";
-    case Op::kSearchAggregatedReply: return "search_aggregated_reply";
     case Op::kFetchReply: return "fetch_reply";
     case Op::kProveReply: return "prove_reply";
     case Op::kPong: return "pong";
@@ -167,7 +165,6 @@ Bytes QueryPlanRequest::serialize() const {
   Writer w;
   w.u32(static_cast<std::uint32_t>(clauses.size()));
   for (const core::ClauseRequest& clause : clauses) {
-    w.u8(clause.aggregated ? 1 : 0);
     w.u32(static_cast<std::uint32_t>(clause.tokens.size()));
     for (const core::SearchToken& t : clause.tokens) w.bytes(t.serialize());
   }
@@ -177,14 +174,11 @@ Bytes QueryPlanRequest::serialize() const {
 QueryPlanRequest QueryPlanRequest::deserialize(BytesView data) {
   Reader r(data);
   QueryPlanRequest out;
-  // Every clause occupies at least mode (1) + token count (4) bytes.
-  const std::uint32_t n = r.count(5);
+  // Every clause occupies at least its token count (4 bytes).
+  const std::uint32_t n = r.count(4);
   out.clauses.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     core::ClauseRequest clause;
-    const std::uint8_t mode = r.u8();
-    if (mode > 1) throw DecodeError("query_plan: bad clause mode byte");
-    clause.aggregated = mode == 1;
     const std::uint32_t t = r.count(4);
     clause.tokens.reserve(t);
     for (std::uint32_t k = 0; k < t; ++k)
@@ -201,14 +195,9 @@ Bytes QueryPlanReply::serialize() const {
   for (std::size_t i = 0; i < clauses.size(); ++i) {
     const core::ClauseReply& clause = clauses[i];
     w.u32(static_cast<std::uint32_t>(i));  // sequence-ordered clause tag
-    w.u8(clause.aggregated ? 1 : 0);
-    if (clause.aggregated) {
-      w.bytes(clause.query_reply.serialize());
-    } else {
-      w.u32(static_cast<std::uint32_t>(clause.replies.size()));
-      for (const core::TokenReply& reply : clause.replies)
-        w.bytes(reply.serialize());
-    }
+    w.u32(static_cast<std::uint32_t>(clause.replies.size()));
+    for (const core::TokenReply& reply : clause.replies)
+      w.bytes(reply.serialize());
   }
   return std::move(w).take();
 }
@@ -216,8 +205,8 @@ Bytes QueryPlanReply::serialize() const {
 QueryPlanReply QueryPlanReply::deserialize(BytesView data) {
   Reader r(data);
   QueryPlanReply out;
-  // Every clause occupies at least index (4) + mode (1) + 4 payload bytes.
-  const std::uint32_t n = r.count(9);
+  // Every clause occupies at least index (4) + reply count (4) bytes.
+  const std::uint32_t n = r.count(8);
   out.clauses.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     // The clause tag must be exactly the position: strictly ascending and
@@ -225,17 +214,10 @@ QueryPlanReply QueryPlanReply::deserialize(BytesView data) {
     if (r.u32() != i)
       throw DecodeError("query_plan_reply: clause replies out of sequence");
     core::ClauseReply clause;
-    const std::uint8_t mode = r.u8();
-    if (mode > 1) throw DecodeError("query_plan_reply: bad clause mode byte");
-    clause.aggregated = mode == 1;
-    if (clause.aggregated) {
-      clause.query_reply = core::QueryReply::deserialize(r.bytes());
-    } else {
-      const std::uint32_t t = r.count(4);
-      clause.replies.reserve(t);
-      for (std::uint32_t k = 0; k < t; ++k)
-        clause.replies.push_back(core::TokenReply::deserialize(r.bytes()));
-    }
+    const std::uint32_t t = r.count(4);
+    clause.replies.reserve(t);
+    for (std::uint32_t k = 0; k < t; ++k)
+      clause.replies.push_back(core::TokenReply::deserialize(r.bytes()));
     out.clauses.push_back(std::move(clause));
   }
   r.expect_end();

@@ -28,14 +28,13 @@
 namespace slicer::net {
 
 /// Protocol magic carried in the HELLO payload (bump on breaking change).
-inline constexpr std::string_view kProtocolMagic = "slicer.net.v1";
+inline constexpr std::string_view kProtocolMagic = "slicer.net.v2";
 
 /// Wire opcodes. Replies = request | 0x80.
 enum class Op : std::uint8_t {
   kHello = 0x01,
   kApply = 0x02,
   kSearch = 0x03,
-  kSearchAggregated = 0x04,
   kFetch = 0x05,
   kProve = 0x06,
   kPing = 0x07,
@@ -44,7 +43,6 @@ enum class Op : std::uint8_t {
   kHelloOk = 0x81,
   kApplyOk = 0x82,
   kSearchReply = 0x83,
-  kSearchAggregatedReply = 0x84,
   kFetchReply = 0x85,
   kProveReply = 0x86,
   kPong = 0x87,
@@ -95,7 +93,7 @@ struct ApplyReply {
   bool operator==(const ApplyReply&) const = default;
 };
 
-/// SEARCH / SEARCH_AGGREGATED request: the query's token list.
+/// SEARCH request: the query's token list.
 struct SearchRequest {
   std::vector<core::SearchToken> tokens;
 
@@ -141,8 +139,8 @@ struct ProveRequest {
 };
 
 /// QUERY_PLAN request: the clause batch of one compiled query plan. Each
-/// clause carries its read path (0 = legacy per-token VOs, 1 = aggregated)
-/// and its search tokens, so one frame serves a whole boolean query.
+/// clause carries its search tokens, so one frame serves a whole boolean
+/// query.
 struct QueryPlanRequest {
   std::vector<core::ClauseRequest> clauses;
 

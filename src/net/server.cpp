@@ -264,13 +264,6 @@ struct SlicerServer::Impl {
           out.replies = tenant.cloud->search(req.tokens);
           return encode_frame(reply, out.serialize(), max);
         }
-        case Op::kSearchAggregated: {
-          const SearchRequest req = SearchRequest::deserialize(frame.payload);
-          std::shared_lock lock(tenant.mu);
-          const core::QueryReply out =
-              tenant.cloud->search_aggregated(req.tokens);
-          return encode_frame(reply, out.serialize(), max);
-        }
         case Op::kFetch: {
           const FetchRequest req = FetchRequest::deserialize(frame.payload);
           std::shared_lock lock(tenant.mu);
@@ -384,9 +377,8 @@ struct SlicerServer::Impl {
       return false;
     }
     const bool known_op = op == Op::kPing || op == Op::kApply ||
-                          op == Op::kSearch || op == Op::kSearchAggregated ||
-                          op == Op::kFetch || op == Op::kProve ||
-                          op == Op::kQueryPlan;
+                          op == Op::kSearch || op == Op::kFetch ||
+                          op == Op::kProve || op == Op::kQueryPlan;
     if (!known_op) {
       const bool banned = record_misbehavior(tenant, kUnknownOpcodePoints);
       conn->stage_reply(conn->next_seq++,

@@ -14,7 +14,7 @@
 //
 // Requests are decoded on the connection's reader thread and dispatched to
 // the process-wide ThreadPool, so an expensive request (a bulk APPLY, a
-// many-token aggregated search) from one tenant never blocks another
+// many-token search) from one tenant never blocks another
 // tenant's reader. Replies are staged in a per-connection sequence-ordered
 // queue drained by a dedicated writer thread: handlers complete in any
 // order, but each connection observes replies in request order, and a slow

@@ -161,84 +161,6 @@ TEST_F(ShardedAccumulatorTest, WitnessesVerifyAgainstTheirShard) {
   }
 }
 
-TEST_F(ShardedAccumulatorTest, AggregateWitnessVerifies) {
-  for (const std::size_t k : {1u, 4u}) {
-    ShardedAccumulator acc(params_, k);
-    const auto primes = sample_primes(20, 300 + k);
-    acc.insert(primes);
-    const auto values = acc.shard_values();
-    const bigint::Montgomery mont(params_.modulus);
-
-    // Group the primes by shard, fold each group's witnesses, verify one
-    // modexp per touched shard.
-    std::vector<std::vector<BigUint>> elements(values.size());
-    std::vector<std::vector<BigUint>> witnesses(values.size());
-    for (const BigUint& x : primes) {
-      const auto pos = acc.find(x);
-      ASSERT_TRUE(pos.has_value());
-      elements[pos->shard].push_back(x);
-      witnesses[pos->shard].push_back(acc.witness(*pos));
-    }
-    for (std::size_t s = 0; s < values.size(); ++s) {
-      if (elements[s].empty()) continue;
-      const BigUint w = acc.aggregate_witnesses(elements[s], witnesses[s]);
-      EXPECT_TRUE(ShardedAccumulator::verify_aggregate(mont, values, s,
-                                                       elements[s], w));
-      // Order-independence: the fold commits to the SET of primes.
-      std::vector<BigUint> rev(elements[s].rbegin(), elements[s].rend());
-      EXPECT_TRUE(ShardedAccumulator::verify_aggregate(mont, values, s, rev, w));
-      // The aggregate must not prove a different subset: dropping one prime
-      // (when more than one folded) changes the exponent, so the check fails.
-      if (elements[s].size() > 1) {
-        std::vector<BigUint> subset(elements[s].begin(),
-                                    elements[s].end() - 1);
-        EXPECT_FALSE(ShardedAccumulator::verify_aggregate(mont, values, s,
-                                                          subset, w));
-      }
-      // A perturbed witness fails.
-      const BigUint forged =
-          BigUint::add_mod(w, BigUint(1), params_.modulus);
-      EXPECT_FALSE(ShardedAccumulator::verify_aggregate(mont, values, s,
-                                                        elements[s], forged));
-    }
-  }
-}
-
-TEST_F(ShardedAccumulatorTest, AggregateWitnessSingleElementIsIdentity) {
-  ShardedAccumulator acc(params_, 2);
-  const auto primes = sample_primes(6, 42);
-  acc.insert(primes);
-  const auto pos = acc.find(primes[0]);
-  ASSERT_TRUE(pos.has_value());
-  const BigUint w = acc.witness(*pos);
-  const std::vector<BigUint> one_e{primes[0]};
-  const std::vector<BigUint> one_w{w};
-  EXPECT_EQ(acc.aggregate_witnesses(one_e, one_w), w);
-}
-
-TEST_F(ShardedAccumulatorTest, AggregateWitnessRejectsBadInput) {
-  ShardedAccumulator acc(params_, 2);
-  const auto primes = sample_primes(4, 43);
-  acc.insert(primes);
-  const bigint::Montgomery mont(params_.modulus);
-  EXPECT_THROW(acc.aggregate_witnesses({}, {}), CryptoError);
-  const auto p0 = acc.find(primes[0]);
-  const std::vector<BigUint> one_w{acc.witness(*p0)};
-  const std::vector<BigUint> two_e{primes[0], primes[1]};
-  EXPECT_THROW(acc.aggregate_witnesses(two_e, one_w), CryptoError);
-  // Duplicate elements are not coprime — the Bézout step must refuse.
-  const std::vector<BigUint> dup_e{primes[0], primes[0]};
-  const std::vector<BigUint> dup_w{one_w[0], one_w[0]};
-  EXPECT_THROW(acc.aggregate_witnesses(dup_e, dup_w), CryptoError);
-  // Degenerate verify inputs are rejections, not throws.
-  EXPECT_FALSE(ShardedAccumulator::verify_aggregate(
-      mont, acc.shard_values(), 99, two_e, one_w[0]));
-  EXPECT_FALSE(ShardedAccumulator::verify_aggregate(
-      mont, acc.shard_values(), 0, {}, one_w[0]));
-  EXPECT_FALSE(ShardedAccumulator::verify_aggregate(
-      mont, acc.shard_values(), 0, two_e, BigUint(0)));
-}
-
 TEST_F(ShardedAccumulatorTest, InsertWithValuesAdoptsOwnerState) {
   const auto primes = sample_primes(19, 7);
   ShardedAccumulator owner(params_, 4);

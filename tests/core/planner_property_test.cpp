@@ -1,7 +1,7 @@
 // Planner property soak: random predicate trees against the brute-force
 // plaintext oracle (eval_spec), across rig seeds, shard counts K ∈
-// {1, 4, 8}, mixed per-clause read paths, and shuffled clause order — the
-// planner's verified answer must equal the oracle's on every combination.
+// {1, 4, 8} and shuffled clause order — the planner's verified answer
+// must equal the oracle's on every combination.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -111,10 +111,7 @@ TEST_P(PlannerProperty, RandomTreesMatchPlaintextOracle) {
       const QuerySpec spec = random_tree(rng, 2);
       const std::vector<RecordId> expected = oracle(db, spec);
 
-      ClausePlan plan = client.plan_for(spec);
-      // Mixed read paths: each clause draws its own mode.
-      for (PlanClause& clause : plan.clauses)
-        clause.aggregated = rng.uniform(2) == 1;
+      const ClausePlan plan = client.plan_for(spec);
       const ClausePlan shuffled = shuffle_clauses(plan, rng);
 
       for (const ClausePlan* p :

@@ -1,7 +1,7 @@
 // Boolean query planner: the Pred builder, compile_spec normalization
 // (De Morgan / interval complement, clause dedup, empty intervals), wrapper
-// parity of the classic verbs, the combiner cache, mixed per-clause read
-// paths, and the verified aggregates.
+// parity of the classic verbs, the combiner cache, and the verified
+// aggregates.
 #include "core/query.hpp"
 
 #include <gtest/gtest.h>
@@ -230,7 +230,7 @@ TEST_F(PlannerTest, WrapperVerbsMatchPlannerQueries) {
 
 TEST_F(PlannerTest, OptionsOverrideEnvDefaults) {
   // strict_intervals through the options struct, no env knob involved.
-  QueryOptions strict = client_->options();
+  QueryOptions strict = QueryOptions::defaults();
   strict.strict_intervals = true;
   EXPECT_THROW(client_->query(Pred::attr("age").between(7, 8), strict),
                CryptoError);
@@ -279,31 +279,6 @@ TEST_F(PlannerTest, CacheDisabledByKnob) {
   const QueryResult r = client_->query(spec);
   EXPECT_EQ(r.cached_clauses, 0u);
   ::unsetenv("SLICER_PLAN_CACHE");
-}
-
-TEST_F(PlannerTest, MixedPerClauseReadPaths) {
-  const QuerySpec spec =
-      Pred::attr("age").gt(28) && Pred::attr("dept").eq(7);
-  ClausePlan plan = client_->plan_for(spec);
-  ASSERT_EQ(plan.clauses.size(), 2u);
-  plan.clauses[0].aggregated = true;  // one aggregated, one legacy
-  plan.clauses[1].aggregated = false;
-  const QueryResult r = client_->run_plan(plan);
-  EXPECT_TRUE(r.verified);
-  EXPECT_EQ(r.ids, oracle(spec));
-}
-
-TEST_F(PlannerTest, AggregatedOptionRunsWholePlanAggregated) {
-  QueryOptions opts = client_->options();
-  opts.aggregated_vo = true;
-  const QuerySpec spec =
-      Pred::attr("age").between(30, 40) && Pred::attr("dept").eq(7);
-  const QueryResult r = client_->query(spec, opts);
-  EXPECT_TRUE(r.verified);
-  EXPECT_EQ(r.ids, oracle(spec));
-  // Aggregated proofs are per-shard: no per-token attribution.
-  EXPECT_TRUE(r.token_detail.empty());
-  EXPECT_EQ(r.tokens_verified, r.token_count);
 }
 
 TEST_F(PlannerTest, VerifiedCount) {
@@ -370,16 +345,16 @@ TEST_F(PlannerTest, VerifiedTopK) {
   EXPECT_EQ(all.groups[1].value, 35u);
 }
 
-TEST_F(PlannerTest, DeprecatedSetHelpersStillCombine) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const QueryResult a = client_->query(Pred::attr("dept").eq(7));
-  const QueryResult b = client_->query(Pred::attr("age").gt(33));
-  const QueryResult both = QueryClient::intersect(a, b);
+// AND/OR of two specs combine their clause-verified sets on the client.
+TEST_F(PlannerTest, SpecAndOrCombineVerifiedSets) {
+  const QuerySpec a = Pred::attr("dept").eq(7);
+  const QuerySpec b = Pred::attr("age").gt(33);
+  const QueryResult both = client_->query(Pred(a) && Pred(b));
+  EXPECT_TRUE(both.verified);
   EXPECT_EQ(both.ids, (std::vector<RecordId>{2, 4}));
-  const QueryResult either = QueryClient::unite(a, b);
+  const QueryResult either = client_->query(Pred(a) || Pred(b));
+  EXPECT_TRUE(either.verified);
   EXPECT_EQ(either.ids, (std::vector<RecordId>{1, 2, 3, 4, 5}));
-#pragma GCC diagnostic pop
 }
 
 // The single-attribute default path (Pred::value) against the classic rig.

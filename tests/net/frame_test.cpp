@@ -173,7 +173,6 @@ TEST(Protocol, ReplyOpcodeMapping) {
   EXPECT_EQ(reply_op(Op::kHello), Op::kHelloOk);
   EXPECT_EQ(reply_op(Op::kApply), Op::kApplyOk);
   EXPECT_EQ(reply_op(Op::kSearch), Op::kSearchReply);
-  EXPECT_EQ(reply_op(Op::kSearchAggregated), Op::kSearchAggregatedReply);
   EXPECT_EQ(reply_op(Op::kFetch), Op::kFetchReply);
   EXPECT_EQ(reply_op(Op::kProve), Op::kProveReply);
   EXPECT_EQ(reply_op(Op::kPing), Op::kPong);
@@ -273,30 +272,20 @@ core::SearchToken plan_token(char tag) {
 
 QueryPlanRequest sample_plan_request() {
   QueryPlanRequest req;
-  core::ClauseRequest legacy;
-  legacy.aggregated = false;
-  legacy.tokens = {plan_token('a'), plan_token('b')};
-  core::ClauseRequest aggregated;
-  aggregated.aggregated = true;
-  aggregated.tokens = {plan_token('c')};
-  req.clauses = {legacy, aggregated};
+  req.clauses = {core::ClauseRequest{{plan_token('a'), plan_token('b')}},
+                 core::ClauseRequest{{plan_token('c')}}};
   return req;
 }
 
 QueryPlanReply sample_plan_reply() {
   QueryPlanReply reply;
-  core::ClauseReply legacy;
-  legacy.aggregated = false;
   core::TokenReply tr;
   tr.encrypted_results = {Bytes(16, 0x11), Bytes(16, 0x22)};
   tr.witness = bigint::BigUint(12345);
-  legacy.replies = {tr, tr};
-  core::ClauseReply aggregated;
-  aggregated.aggregated = true;
-  aggregated.query_reply.token_results = {{Bytes(16, 0x33)}};
-  aggregated.query_reply.witnesses = {{0, bigint::BigUint(777)},
-                                      {2, bigint::BigUint(888)}};
-  reply.clauses = {legacy, aggregated};
+  core::TokenReply other;
+  other.encrypted_results = {Bytes(16, 0x33)};
+  other.witness = bigint::BigUint(777);
+  reply.clauses = {core::ClauseReply{{tr, tr}}, core::ClauseReply{{other}}};
   return reply;
 }
 
@@ -311,11 +300,44 @@ TEST(Protocol, QueryPlanRequestRoundTrip) {
   EXPECT_EQ(QueryPlanRequest::deserialize(req.serialize()), req);
   EXPECT_EQ(QueryPlanRequest::deserialize(QueryPlanRequest{}.serialize()),
             QueryPlanRequest{});
+
+  // Pinned v2 wire image: u32 clause count, per clause u32 token count +
+  // length-prefixed tokens. All integers big-endian. Any byte change here
+  // is a wire-format break (bump kProtocolMagic).
+  core::SearchToken token;
+  token.trapdoor = str_bytes("t");
+  token.j = 2;
+  token.g1 = str_bytes("g");
+  token.g2 = str_bytes("h");
+  QueryPlanRequest small;
+  small.clauses = {core::ClauseRequest{{token}}, core::ClauseRequest{}};
+  EXPECT_EQ(to_hex(small.serialize()),
+            "00000002"                       // 2 clauses
+            "00000001"                       // clause 0: 1 token
+            "00000013"                       //   token length (19)
+            "00000001" "74" "00000002"       //   trapdoor "t", j = 2
+            "00000001" "67" "00000001" "68"  //   g1 "g", g2 "h"
+            "00000000");                     // clause 1: 0 tokens
 }
 
 TEST(Protocol, QueryPlanReplyRoundTrip) {
   const QueryPlanReply reply = sample_plan_reply();
   EXPECT_EQ(QueryPlanReply::deserialize(reply.serialize()), reply);
+
+  // Pinned v2 wire image: u32 clause count, per clause u32 sequence tag +
+  // u32 reply count + length-prefixed TokenReplies.
+  core::TokenReply tr;
+  tr.encrypted_results = {Bytes{0xaa, 0xbb}};
+  tr.witness = bigint::BigUint(0x107);
+  QueryPlanReply small;
+  small.clauses = {core::ClauseReply{{tr}}, core::ClauseReply{}};
+  EXPECT_EQ(to_hex(small.serialize()),
+            "00000002"                            // 2 clauses
+            "00000000" "00000001"                 // tag 0, 1 reply
+            "00000010"                            //   reply length (16)
+            "00000001" "00000002" "aabb"          //   1 result: aabb
+            "00000002" "0107"                     //   witness 0x0107
+            "00000001" "00000000");               // tag 1, 0 replies
 }
 
 TEST(Protocol, QueryPlanRejectsTrailingBytes) {
@@ -325,15 +347,6 @@ TEST(Protocol, QueryPlanRejectsTrailingBytes) {
   Bytes reply = sample_plan_reply().serialize();
   reply.push_back(0x00);
   EXPECT_THROW(QueryPlanReply::deserialize(reply), DecodeError);
-}
-
-TEST(Protocol, QueryPlanRejectsBadModeByte) {
-  Writer w;
-  w.u32(1);
-  w.u8(2);  // mode byte not in {0, 1}
-  w.u32(0);
-  EXPECT_THROW(QueryPlanRequest::deserialize(std::move(w).take()),
-               DecodeError);
 }
 
 TEST(Protocol, QueryPlanReplyRequiresSequenceOrder) {
@@ -346,14 +359,9 @@ TEST(Protocol, QueryPlanReplyRequiresSequenceOrder) {
     for (std::size_t i = 0; i < 2; ++i) {
       const core::ClauseReply& clause = reply.clauses[i];
       w.u32(i == 0 ? tag0 : tag1);
-      w.u8(clause.aggregated ? 1 : 0);
-      if (clause.aggregated) {
-        w.bytes(clause.query_reply.serialize());
-      } else {
-        w.u32(static_cast<std::uint32_t>(clause.replies.size()));
-        for (const core::TokenReply& tr : clause.replies)
-          w.bytes(tr.serialize());
-      }
+      w.u32(static_cast<std::uint32_t>(clause.replies.size()));
+      for (const core::TokenReply& tr : clause.replies)
+        w.bytes(tr.serialize());
     }
     return std::move(w).take();
   };

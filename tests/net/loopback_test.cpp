@@ -88,7 +88,7 @@ void run_every_opcode(std::size_t threads) {
 
   const auto tokens = rig.user->make_tokens(42, MatchCondition::kGreater);
 
-  // kSearch: legacy per-token replies, verified against the owner's
+  // kSearch: per-token replies, verified against the owner's
   // (trusted) shard values exactly as an in-process deployment would.
   const auto replies = ch.search(tokens);
   EXPECT_TRUE(core::verify_query(rig.acc_params, rig.owner->shard_values(),
@@ -97,12 +97,6 @@ void run_every_opcode(std::size_t threads) {
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, plain_query(records, 42, MatchCondition::kGreater));
 
-  // kSearchAggregated: the O(K)-witness reply.
-  const core::QueryReply agg = ch.search_aggregated(tokens);
-  EXPECT_TRUE(core::verify_query_aggregated(
-      rig.acc_params, rig.owner->shard_values(), tokens, agg,
-      rig.config.prime_bits));
-
   // kFetch + kProve: the split read path.
   const std::vector<Bytes> results = ch.fetch(tokens[0]);
   const core::TokenReply proof = ch.prove(tokens[0], results);
@@ -110,13 +104,11 @@ void run_every_opcode(std::size_t threads) {
   EXPECT_TRUE(core::verify_reply(rig.acc_params, rig.owner->shard_values(),
                                  tokens[0], proof, rig.config.prime_bits));
 
-  // kQueryPlan: a whole clause batch (one legacy, one aggregated clause) in
-  // one round trip, verified per clause through verify_plan.
+  // kQueryPlan: a whole two-clause batch in one round trip, verified per
+  // clause through verify_plan.
   QueryPlanRequest plan;
   plan.clauses.resize(2);
-  plan.clauses[0].aggregated = false;
   plan.clauses[0].tokens = tokens;
-  plan.clauses[1].aggregated = true;
   plan.clauses[1].tokens = rig.user->make_tokens(42, MatchCondition::kLess);
   const QueryPlanReply plan_reply = ch.query_plan(plan);
   const core::PlanVerification pv =

@@ -151,7 +151,7 @@ TEST(TenantAbuse, FloodFaultDrainsTheBucket) {
 TEST(TenantAbuse, UnknownOpcodesAccumulateIntoDisconnectAndBan) {
   Rig rig = Rig::make(8, "net-ban-opcode");
   ServerConfig config;
-  config.ban_threshold = 30;  // three unknown opcodes
+  config.ban_threshold = 40;  // four unknown opcodes
   config.ban_duration = std::chrono::milliseconds(400);
   SlicerServer server(config);
   server.add_tenant("alpha", take_cloud(rig));
@@ -159,11 +159,13 @@ TEST(TenantAbuse, UnknownOpcodesAccumulateIntoDisconnectAndBan) {
 
   RawClient raw(server.port());
   raw.hello("alpha");
-  for (int i = 0; i < 3; ++i) {
-    raw.send(static_cast<Op>(0x55), BytesView{});
-    EXPECT_EQ(expect_error(raw).code, "protocol") << i;
+  // 0x04 is the retired SEARCH_AGGREGATED opcode: a v2 server must score
+  // it like any other unknown opcode.
+  for (const std::uint8_t op : {0x55, 0x04, 0x55, 0x04}) {
+    raw.send(static_cast<Op>(op), BytesView{});
+    EXPECT_EQ(expect_error(raw).code, "protocol") << int{op};
   }
-  // The third strike tripped the ban: the server closed the connection.
+  // The fourth strike tripped the ban: the server closed the connection.
   EXPECT_THROW(raw.read_frame(), NetError);
   EXPECT_TRUE(server.tenant_banned("alpha"));
   EXPECT_EQ(server.tenant_misbehavior("alpha"), 0u);  // reset by the ban
