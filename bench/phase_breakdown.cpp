@@ -120,7 +120,7 @@ void run_config(BenchJson& json, std::size_t bits, std::size_t count) {
         replies.push_back(world->cloud->prove(t, world->cloud->fetch_results(t)));
       if (verify)
         (void)core::verify_query(world->acc_params,
-                                 world->cloud->accumulator_value(), tokens,
+                                 world->cloud->shard_values(), tokens,
                                  replies, world->config.prime_bits);
     }
   };

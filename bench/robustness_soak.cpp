@@ -73,8 +73,8 @@ bool soak_detection(BenchJson& json) {
       const auto t0 = std::chrono::steady_clock::now();
       const auto out = mal.search(tokens);
       const bool accepted = core::verify_query(
-          world.acc_params, world.cloud->accumulator_value(), tokens,
-          out.replies, world.config.prime_bits);
+          world.acc_params, world.cloud->shard_values(), tokens,
+          out.replies, world.config.prime_bits).verified;
       tamper_ms += ms_since(t0);
       if (!out.tampered) continue;
       ++cases;

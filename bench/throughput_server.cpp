@@ -1,7 +1,7 @@
 // Wire-protocol throughput: N concurrent loopback clients driving one
 // SlicerServer, measuring end-to-end request latency (client send → reply
-// decoded) for the per-token read path (SEARCH) at K ∈ {1, 4, 8} tokens per
-// request.
+// decoded) for one-clause QUERY_PLAN requests (the protocol's one read
+// opcode) at K ∈ {1, 4, 8} tokens per request.
 //
 // Emits BENCH_throughput.json with one row per K: qps plus p50/p99
 // latency in milliseconds. Custom main (no google-benchmark): the unit of
@@ -28,9 +28,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// One request's worth of tokens: a K-wide window into a flat token pool
-/// drawn from many random query values.
-std::vector<std::vector<core::SearchToken>> make_request_batches(
+/// One-clause QUERY_PLAN requests: each clause is a K-wide window into a
+/// flat token pool drawn from many random query values.
+std::vector<net::QueryPlanRequest> make_requests(
     World& world, std::size_t k, std::size_t batches) {
   std::vector<core::SearchToken> pool;
   const auto values = query_values(world.config.value_bits, batches + 8,
@@ -40,11 +40,14 @@ std::vector<std::vector<core::SearchToken>> make_request_batches(
     pool.insert(pool.end(), tokens.begin(), tokens.end());
     if (pool.size() >= k * batches + k) break;
   }
-  std::vector<std::vector<core::SearchToken>> out;
+  std::vector<net::QueryPlanRequest> out;
   out.reserve(batches);
   for (std::size_t i = 0; i < batches && (i + 1) * k <= pool.size(); ++i) {
-    out.emplace_back(pool.begin() + static_cast<std::ptrdiff_t>(i * k),
-                     pool.begin() + static_cast<std::ptrdiff_t>((i + 1) * k));
+    net::QueryPlanRequest request;
+    request.clauses.push_back(core::ClauseRequest{
+        {pool.begin() + static_cast<std::ptrdiff_t>(i * k),
+         pool.begin() + static_cast<std::ptrdiff_t>((i + 1) * k)}});
+    out.push_back(std::move(request));
   }
   return out;
 }
@@ -57,10 +60,10 @@ struct RunResult {
 };
 
 /// Drives `clients` concurrent channels, each issuing `per_client` requests
-/// round-robin over its pre-generated token batches.
+/// round-robin over the pre-generated requests.
 RunResult run_fleet(std::uint16_t port, std::size_t clients,
                     std::size_t per_client,
-                    const std::vector<std::vector<core::SearchToken>>& batches) {
+                    const std::vector<net::QueryPlanRequest>& requests) {
   std::vector<std::vector<double>> latencies(clients);
   std::vector<std::thread> fleet;
   fleet.reserve(clients);
@@ -71,9 +74,9 @@ RunResult run_fleet(std::uint16_t port, std::size_t clients,
       auto& out = latencies[c];
       out.reserve(per_client);
       for (std::size_t i = 0; i < per_client; ++i) {
-        const auto& tokens = batches[(c * per_client + i) % batches.size()];
+        const auto& request = requests[(c * per_client + i) % requests.size()];
         const auto start = Clock::now();
-        (void)channel.search(tokens);
+        (void)channel.query_plan(request);
         out.push_back(std::chrono::duration<double, std::milli>(Clock::now() -
                                                                 start)
                           .count());
@@ -113,23 +116,25 @@ int throughput_main() {
 
   BenchJson json("throughput");
   for (const std::size_t k : {1, 4, 8}) {
-    const auto batches =
-        make_request_batches(*world, k, std::max<std::size_t>(per_client, 16));
-    if (batches.empty()) continue;
+    const auto requests =
+        make_requests(*world, k, std::max<std::size_t>(per_client, 16));
+    if (requests.empty()) continue;
 
     // Correctness gate before timing: one request must verify against the
     // owner's trusted digests.
     {
       net::SlicerClientChannel probe(port, "bench");
-      const auto replies = probe.search(batches.front());
-      if (!core::verify_query(world->acc_params, shard_values, batches.front(),
-                              replies, world->config.prime_bits)) {
+      const net::QueryPlanReply reply = probe.query_plan(requests.front());
+      if (!core::verify_plan(world->acc_params, shard_values,
+                             requests.front().clauses, reply.clauses,
+                             world->config.prime_bits)
+               .verified) {
         std::fprintf(stderr, "throughput: VO failed verification\n");
         return 1;
       }
     }
 
-    const RunResult r = run_fleet(port, clients, per_client, batches);
+    const RunResult r = run_fleet(port, clients, per_client, requests);
     std::printf("%-28s K=%zu  %8.1f qps  p50 %7.3f ms  p99 %7.3f ms\n",
                 "legacy", k, r.qps, r.p50_ms, r.p99_ms);
     BenchRow row;

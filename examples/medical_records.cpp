@@ -19,8 +19,12 @@ struct Patient {
   std::uint64_t age;
 };
 
+// An honest cloud's proofs must verify: any INVALID fails the example.
+bool g_all_valid = true;
+
 void show(const char* what, const core::DualQueryResult& r,
           const std::vector<Patient>& roster) {
+  g_all_valid = g_all_valid && r.verified;
   std::printf("%-34s [proofs %s] ", what, r.verified ? "VALID" : "INVALID");
   for (const auto id : r.ids) {
     for (const Patient& p : roster)
@@ -78,5 +82,5 @@ int main() {
               clinic.delete_accumulator().to_hex().substr(0, 16).c_str());
   std::printf("both accumulator values are what a blockchain would store to "
               "guarantee freshness.\n");
-  return 0;
+  return g_all_valid ? 0 : 1;
 }

@@ -40,11 +40,15 @@ int main() {
   core::DataUser user(owner.export_user_state(),
                       crypto::Drbg(rng.generate(32)));
 
+  // An honest cloud's proofs must verify: any INVALID fails the example.
+  bool all_valid = true;
   auto run = [&](std::uint64_t v, core::MatchCondition mc, const char* desc) {
     const auto tokens = user.make_tokens(v, mc);
     const auto replies = cloud.search(tokens);
-    const bool ok = core::verify_query(acc_params, cloud.accumulator_value(),
-                                       tokens, replies, config.prime_bits);
+    const bool ok = core::verify_query(acc_params, cloud.shard_values(),
+                                       tokens, replies, config.prime_bits)
+                        .verified;
+    all_valid = all_valid && ok;
     auto ids = user.decrypt(replies);
     std::sort(ids.begin(), ids.end());
     std::printf("%-28s -> proof %s, ids: ", desc, ok ? "VALID" : "INVALID");
@@ -62,5 +66,5 @@ int main() {
   std::printf("\ninserted record 6 (value 150); accumulator refreshed\n");
   run(200, core::MatchCondition::kLess, "value < 200 (after insert)");
 
-  return 0;
+  return all_valid ? 0 : 1;
 }

@@ -93,6 +93,7 @@ int main(int argc, char** argv) try {
   core::DataUser user(owner.export_user_state(),
                       crypto::Drbg(rng.generate(32)));
   core::QueryClient client(user, cloud, config.prime_bits);
+  const auto value = core::Pred::value();
 
   for (; argi < argc; ++argi) {
     const std::string cmd = argv[argi];
@@ -102,20 +103,23 @@ int main(int argc, char** argv) try {
     };
     if (cmd == "eq") {
       const auto v = next_u64();
-      print_result(("eq " + std::to_string(v)).c_str(), client.equal(v));
+      print_result(("eq " + std::to_string(v)).c_str(),
+                   client.query(value.eq(v)));
     } else if (cmd == "gt") {
       const auto v = next_u64();
-      print_result(("gt " + std::to_string(v)).c_str(), client.greater(v));
+      print_result(("gt " + std::to_string(v)).c_str(),
+                   client.query(value.gt(v)));
     } else if (cmd == "lt") {
       const auto v = next_u64();
-      print_result(("lt " + std::to_string(v)).c_str(), client.less(v));
+      print_result(("lt " + std::to_string(v)).c_str(),
+                   client.query(value.lt(v)));
     } else if (cmd == "range") {
       const auto lo = next_u64();
       const auto hi = next_u64();
       print_result(
           ("range [" + std::to_string(lo) + "," + std::to_string(hi) + "]")
               .c_str(),
-          client.between_inclusive(lo, hi));
+          client.query(value.between_inclusive(lo, hi)));
     } else if (cmd == "insert") {
       const auto id = next_u64();
       const auto v = next_u64();

@@ -49,12 +49,15 @@ FinalityVerdict verify_with_finality(
   for (std::size_t attempt = 0; attempt <= max_retries; ++attempt) {
     const TrustedDigest digest = reader.read();
     const std::vector<core::TokenReply> replies = fetch_replies(digest);
-    const bool ok =
+    // A contract that only ever saw a single-value publication stores no
+    // shard values; its digest is then the one shard value.
+    const std::span<const bigint::BigUint> values =
         digest.shard_values.empty()
-            ? core::verify_query(params, digest.ac, tokens, replies,
-                                 prime_bits)
-            : core::verify_query(params, digest.shard_values, tokens, replies,
-                                 prime_bits);
+            ? std::span<const bigint::BigUint>(&digest.ac, 1)
+            : std::span<const bigint::BigUint>(digest.shard_values);
+    const bool ok =
+        core::verify_query(params, values, tokens, replies, prime_bits)
+            .verified;
     try {
       reader.revalidate(digest);
     } catch (const StaleDigest&) {

@@ -197,9 +197,7 @@ QueryResult QueryClient::run_plan(const ClausePlan& plan) {
     out.verified = fold_ok && pv.verified;
   }
 
-  // Roll up token accounting in clause order (for the classic verbs this
-  // is the legacy sub-query submission order, so token_detail concatenates
-  // identically).
+  // Roll up token accounting in clause order.
   for (const CachedClause& o : outcomes) {
     out.token_count += o.token_count;
     out.tokens_verified += o.tokens_verified;
@@ -237,44 +235,6 @@ QueryResult QueryClient::run_plan(const ClausePlan& plan) {
   }
   out.ids = std::move(node_ids[plan.root]);
   return out;
-}
-
-// --- classic verbs -------------------------------------------------------
-
-QueryResult QueryClient::equal(std::uint64_t v) {
-  return query(Pred::value().eq(v));
-}
-QueryResult QueryClient::greater(std::uint64_t v) {
-  return query(Pred::value().gt(v));
-}
-QueryResult QueryClient::less(std::uint64_t v) {
-  return query(Pred::value().lt(v));
-}
-QueryResult QueryClient::between(std::uint64_t lo, std::uint64_t hi) {
-  return query(Pred::value().between(lo, hi));
-}
-QueryResult QueryClient::between_inclusive(std::uint64_t lo,
-                                           std::uint64_t hi) {
-  return query(Pred::value().between_inclusive(lo, hi));
-}
-
-QueryResult QueryClient::equal(std::string_view attribute, std::uint64_t v) {
-  return query(Pred::attr(std::string(attribute)).eq(v));
-}
-QueryResult QueryClient::greater(std::string_view attribute, std::uint64_t v) {
-  return query(Pred::attr(std::string(attribute)).gt(v));
-}
-QueryResult QueryClient::less(std::string_view attribute, std::uint64_t v) {
-  return query(Pred::attr(std::string(attribute)).lt(v));
-}
-QueryResult QueryClient::between(std::string_view attribute, std::uint64_t lo,
-                                 std::uint64_t hi) {
-  return query(Pred::attr(std::string(attribute)).between(lo, hi));
-}
-QueryResult QueryClient::between_inclusive(std::string_view attribute,
-                                           std::uint64_t lo,
-                                           std::uint64_t hi) {
-  return query(Pred::attr(std::string(attribute)).between_inclusive(lo, hi));
 }
 
 // --- verified aggregates -------------------------------------------------

@@ -5,9 +5,8 @@
 // leaves — see core/query.hpp) into a clause plan, executes every clause in
 // one batched cloud round trip (one VO per token), verifies every clause
 // VO independently, and only then combines the clause-verified result sets
-// with set intersection/union. The classic verbs (`equal`, `greater`, `less`,
-// `between`, `between_inclusive`) are one-line wrappers over the planner
-// with byte-identical results and verification detail.
+// with set intersection/union. Single conditions are one-leaf specs:
+// `query(Pred::value().gt(v))`, `query(Pred::attr("age").between(lo, hi))`.
 //
 // Verified aggregates (`count`, `min_value`, `max_value`, `top_k`) ride on
 // the same machinery: MIN/MAX run a verified binary search over the value
@@ -19,7 +18,7 @@
 // QueryOptions::defaults() at each call — pass explicit options to override
 // it per query.
 //
-// Empty intervals: a `between`/`between_inclusive` whose interval is
+// Empty intervals: a `between`/`between_inclusive` leaf whose interval is
 // provably empty (hi <= lo + 1, resp. lo > hi) compiles to a verified-empty
 // plan node without contacting the cloud — a provably empty query is not an
 // error. QueryOptions::strict_intervals (default: the
@@ -52,9 +51,8 @@ struct QueryResult {
   std::size_t token_count = 0;  // search tokens sent to the cloud
   std::size_t tokens_verified = 0;  // tokens whose membership proof held
   /// Per-token verification outcome and latency, concatenated in plan
-  /// clause order (for the classic verbs: the legacy sub-query submission
-  /// order). Empty for a query that needed no tokens. Cache-served clauses
-  /// replay the detail recorded when their proof was checked.
+  /// clause order. Empty for a query that needed no tokens. Cache-served
+  /// clauses replay the detail recorded when their proof was checked.
   std::vector<TokenVerification> token_detail;
   std::size_t clause_count = 0;    // primitive clauses in the executed plan
   std::size_t cached_clauses = 0;  // clauses served from the combiner cache
@@ -82,31 +80,6 @@ class QueryClient {
   /// clauses the combiner cache cannot serve, per-clause verification, then
   /// verified set combination up the plan tree.
   QueryResult run_plan(const ClausePlan& plan);
-
-  // --- classic verbs: one-line wrappers over the planner ----------------
-
-  QueryResult equal(std::uint64_t v);
-  QueryResult greater(std::uint64_t v);
-  QueryResult less(std::uint64_t v);
-
-  /// Records with lo < value < hi (exclusive). An empty interval
-  /// (hi <= lo + 1) yields an empty verified result — see the header
-  /// comment for strict_intervals.
-  QueryResult between(std::uint64_t lo, std::uint64_t hi);
-
-  /// Records with lo <= value <= hi (inclusive); composed from the
-  /// exclusive interval plus the two endpoint equality searches.
-  QueryResult between_inclusive(std::uint64_t lo, std::uint64_t hi);
-
-  /// Multi-attribute variants (§V-F) — full verb parity with the
-  /// single-attribute forms above.
-  QueryResult equal(std::string_view attribute, std::uint64_t v);
-  QueryResult greater(std::string_view attribute, std::uint64_t v);
-  QueryResult less(std::string_view attribute, std::uint64_t v);
-  QueryResult between(std::string_view attribute, std::uint64_t lo,
-                      std::uint64_t hi);
-  QueryResult between_inclusive(std::string_view attribute, std::uint64_t lo,
-                                std::uint64_t hi);
 
   // --- verified aggregates ----------------------------------------------
 

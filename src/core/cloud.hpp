@@ -9,12 +9,10 @@
 // checked against the prime's shard.
 #pragma once
 
-#include <future>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <vector>
 
@@ -36,12 +34,9 @@ class CloudServer {
   CloudServer(adscrypto::TrapdoorPublicKey trapdoor_pk,
               adscrypto::AccumulatorParams accumulator_params,
               std::size_t prime_bits = 64, std::size_t shard_count = 0);
-  ~CloudServer();
 
-  /// Move-constructible (the accumulator and witness state live behind
-  /// stable heap pointers, so an in-flight background refresh never
-  /// dangles); assignment would drop a possibly-live witness state, so it
-  /// stays deleted along with copying.
+  /// Move-constructible (the proof cache's mutex lives behind a stable
+  /// heap pointer); assignment stays deleted along with copying.
   CloudServer(CloudServer&&) noexcept = default;
   CloudServer& operator=(CloudServer&&) = delete;
 
@@ -94,41 +89,20 @@ class CloudServer {
   void precompute_witnesses();
   bool witnesses_precomputed() const;
 
-  /// Opts the witness refresh into a background pool task. apply()
-  /// returns as soon as the index and accumulator are updated; prove()
-  /// serves on-demand witnesses until the refreshed cache lands. Defaults
-  /// to synchronous (or the SLICER_WITNESS_ASYNC=1 environment knob).
-  void set_async_witness_refresh(bool async);
-
-  /// Blocks until any in-flight background witness refresh has committed.
-  void wait_for_witness_refresh() const;
-
   const EncryptedIndex& index() const { return index_; }
   const adscrypto::AccumulatorParams& accumulator_params() const {
-    return sharded_->params();
+    return sharded_.params();
   }
   /// The published chain digest (the raw shard value at K = 1).
   const bigint::BigUint& accumulator_value() const { return ac_; }
   /// Per-shard accumulation values behind accumulator_value().
   const std::vector<bigint::BigUint>& shard_values() const {
-    return sharded_->shard_values();
+    return sharded_.shard_values();
   }
-  std::size_t shard_count() const { return sharded_->shard_count(); }
+  std::size_t shard_count() const { return sharded_.shard_count(); }
   std::size_t prime_count() const { return primes_.size(); }
 
  private:
-  /// Witness cache (per shard: leaves parallel to the shard's prime list,
-  /// plus group roots) and the synchronization for the optional background
-  /// refresh. Boxed so CloudServer stays movable.
-  struct WitnessState {
-    mutable std::shared_mutex mu;
-    /// Empty outer vector = cold cache; size-K outer vector = warm.
-    adscrypto::ShardedAccumulator::WitnessCache cache;
-    /// Serializes join_refresh() racers (future::get is single-shot).
-    std::mutex task_mu;
-    std::future<void> task;
-  };
-
   /// Hot-token proof cache: (serialized token) → everything prove derives
   /// for it. An entry's prime/position/witness are reusable only under two
   /// guards checked on every hit:
@@ -140,7 +114,7 @@ class CloudServer {
   ///     that receives new primes, which is exactly when cached witnesses
   ///     (and in-shard indices) go stale; entry-only updates leave epochs
   ///     alone because the digest guard already covers result changes.
-  /// Boxed (like WitnessState) so CloudServer stays movable.
+  /// Boxed so CloudServer stays movable.
   struct ProofCache {
     struct Entry {
       adscrypto::MultisetHash::Digest digest{};
@@ -176,21 +150,20 @@ class CloudServer {
   /// replaces the accumulator state wholesale).
   void reset_proof_cache();
 
-  /// Joins wit_->task if one is in flight (non-locking helper).
-  void join_refresh() const;
-
   adscrypto::TrapdoorPermutation perm_;
-  /// Boxed: the background refresh task holds a pointer to the accumulator,
-  /// so its address must survive a CloudServer move.
-  std::unique_ptr<adscrypto::ShardedAccumulator> sharded_;
+  adscrypto::ShardedAccumulator sharded_;
   std::size_t prime_bits_;
 
   EncryptedIndex index_;
   std::vector<bigint::BigUint> primes_;  // X, flat arrival order (snapshots)
-  std::unique_ptr<WitnessState> wit_;
+  /// Witness cache (per shard: leaves parallel to the shard's prime list,
+  /// plus group roots). Empty outer vector = cold cache; size-K = warm.
+  /// Written only by apply()/precompute_witnesses(), which callers never
+  /// run concurrently with reads (net::SlicerServer takes the tenant
+  /// exclusively for APPLY), so const reads need no lock.
+  adscrypto::ShardedAccumulator::WitnessCache witnesses_;
   std::unique_ptr<ProofCache> pcache_;
   bool witness_autorefresh_ = false;  // refresh cache on apply()
-  bool async_refresh_ = false;
   bigint::BigUint ac_;
 };
 

@@ -86,19 +86,19 @@ bool DualSlicer::contains(RecordId id) const { return live_.contains(id); }
 DualQueryResult DualSlicer::query(std::uint64_t value, MatchCondition mc) {
   DualQueryResult out;
 
-  auto run = [&](DataUser& user, CloudServer& cloud,
-                 const bigint::BigUint& ac) -> std::optional<std::vector<RecordId>> {
+  auto run = [&](DataUser& user,
+                 CloudServer& cloud) -> std::optional<std::vector<RecordId>> {
     const auto tokens = user.make_tokens(value, mc);
     const auto replies = cloud.search(tokens);
-    if (!verify_query(cloud.accumulator_params(), ac, tokens, replies,
-                      config_.prime_bits))
+    if (!verify_query(cloud.accumulator_params(), cloud.shard_values(), tokens,
+                      replies, config_.prime_bits)
+             .verified)
       return std::nullopt;
     return user.decrypt(replies);
   };
 
-  const auto added = run(add_user_, add_cloud_, add_cloud_.accumulator_value());
-  const auto deleted =
-      run(del_user_, del_cloud_, del_cloud_.accumulator_value());
+  const auto added = run(add_user_, add_cloud_);
+  const auto deleted = run(del_user_, del_cloud_);
   if (!added.has_value() || !deleted.has_value()) {
     out.verified = false;
     return out;

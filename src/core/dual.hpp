@@ -23,7 +23,7 @@ namespace slicer::core {
 struct DualQueryResult {
   /// Ids whose records currently match (deletions already subtracted).
   std::vector<RecordId> ids;
-  /// Both instances' proofs verified against their accumulator values.
+  /// Both instances' proofs verified against their per-shard values.
   bool verified = false;
 };
 

@@ -79,6 +79,8 @@ void Sha256::compress(const std::uint8_t* block) {
 
 void Sha256::update(BytesView data) {
   assert(!finished_);
+  // An empty view may carry a null data() — never hand that to memcpy.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t off = 0;
   if (buf_len_ > 0) {

@@ -3,8 +3,8 @@
 // One channel = one TCP connection to a SlicerServer, bound to one tenant
 // by the HELLO handshake. Requests are synchronous (send frame, wait for
 // the matching reply opcode); transport failures on idempotent requests
-// (search / fetch / prove / ping — all read-only) are retried with the
-// same capped-exponential-backoff policy shape as chain::TxSubmitter,
+// (query_plan / ping — both read-only) are retried with the same
+// capped-exponential-backoff policy shape as chain::TxSubmitter,
 // reconnecting and re-issuing HELLO between attempts. APPLY is NOT
 // auto-retried: it mutates the tenant, and a timeout does not reveal
 // whether the server applied the batch — the caller disambiguates via
@@ -84,20 +84,10 @@ class SlicerClientChannel {
   /// returns the tenant's post-apply prime count.
   std::uint64_t apply(const core::UpdateOutput& update);
 
-  /// Per-token search (results + one VO per token). Retried.
-  std::vector<core::TokenReply> search(
-      const std::vector<core::SearchToken>& tokens);
-
   /// Whole-plan clause batch: every clause of a compiled boolean query in
-  /// one round trip. Read-only, so retried like search.
+  /// one round trip (a single-condition search is a one-clause plan).
+  /// Read-only, so retried.
   QueryPlanReply query_plan(const QueryPlanRequest& request);
-
-  /// Results only (no VO). Retried.
-  std::vector<Bytes> fetch(const core::SearchToken& token);
-
-  /// VO for previously fetched results. Retried.
-  core::TokenReply prove(const core::SearchToken& token,
-                         const std::vector<Bytes>& results);
 
   /// Liveness probe. Retried.
   void ping();

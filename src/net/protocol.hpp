@@ -28,23 +28,20 @@
 namespace slicer::net {
 
 /// Protocol magic carried in the HELLO payload (bump on breaking change).
-inline constexpr std::string_view kProtocolMagic = "slicer.net.v2";
+inline constexpr std::string_view kProtocolMagic = "slicer.net.v3";
 
-/// Wire opcodes. Replies = request | 0x80.
+/// Wire opcodes. Replies = request | 0x80. QUERY_PLAN is the one read
+/// opcode: a single-condition search is a one-clause plan. 0x03 (SEARCH),
+/// 0x04 (SEARCH_AGGREGATED), 0x05 (FETCH) and 0x06 (PROVE) are retired and
+/// score as unknown opcodes.
 enum class Op : std::uint8_t {
   kHello = 0x01,
   kApply = 0x02,
-  kSearch = 0x03,
-  kFetch = 0x05,
-  kProve = 0x06,
   kPing = 0x07,
   kQueryPlan = 0x08,
 
   kHelloOk = 0x81,
   kApplyOk = 0x82,
-  kSearchReply = 0x83,
-  kFetchReply = 0x85,
-  kProveReply = 0x86,
   kPong = 0x87,
   kQueryPlanReply = 0x88,
 
@@ -91,51 +88,6 @@ struct ApplyReply {
   Bytes serialize() const;
   static ApplyReply deserialize(BytesView data);
   bool operator==(const ApplyReply&) const = default;
-};
-
-/// SEARCH request: the query's token list.
-struct SearchRequest {
-  std::vector<core::SearchToken> tokens;
-
-  Bytes serialize() const;
-  static SearchRequest deserialize(BytesView data);
-  bool operator==(const SearchRequest&) const = default;
-};
-
-/// SEARCH reply: one TokenReply per token, in submission order.
-struct SearchReply {
-  std::vector<core::TokenReply> replies;
-
-  Bytes serialize() const;
-  static SearchReply deserialize(BytesView data);
-};
-
-/// FETCH request: one token (results only, no VO — the Fig. 5a/5c split).
-struct FetchRequest {
-  core::SearchToken token;
-
-  Bytes serialize() const;
-  static FetchRequest deserialize(BytesView data);
-  bool operator==(const FetchRequest&) const = default;
-};
-
-/// FETCH reply: the token's encrypted results in traversal order.
-struct FetchReply {
-  std::vector<Bytes> results;
-
-  Bytes serialize() const;
-  static FetchReply deserialize(BytesView data);
-  bool operator==(const FetchReply&) const = default;
-};
-
-/// PROVE request: a token plus the (possibly re-ordered) results to prove.
-struct ProveRequest {
-  core::SearchToken token;
-  std::vector<Bytes> results;
-
-  Bytes serialize() const;
-  static ProveRequest deserialize(BytesView data);
-  bool operator==(const ProveRequest&) const = default;
 };
 
 /// QUERY_PLAN request: the clause batch of one compiled query plan. Each

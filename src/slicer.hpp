@@ -17,7 +17,8 @@
 //   slicer::core::DataOwner owner(...);
 //   slicer::core::CloudServer cloud(...);
 //   slicer::core::QueryClient client(...);
-//   auto result = client.between("value", 10, 20);   // verified range query
+//   using slicer::core::Pred;
+//   auto result = client.query(Pred::attr("value").between(10, 20));
 //
 // Every header included here is self-contained (each compiles as its own
 // translation unit — enforced by tests/headers).

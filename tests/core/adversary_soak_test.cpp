@@ -46,15 +46,15 @@ TEST(AdversarySoak, FullTaxonomyAcrossSeeds) {
       // Honest baseline for this combo: verification accepts, and its
       // decryption is the ground truth for the benign-tamper comparison.
       const auto honest = rig.cloud->search(tokens);
-      ASSERT_TRUE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
-                               tokens, honest, rig.config.prime_bits));
+      ASSERT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(),
+                               tokens, honest, rig.config.prime_bits).verified);
       auto honest_ids = rig.user->decrypt(honest);
       std::sort(honest_ids.begin(), honest_ids.end());
 
       auto soak_case = [&](Tamper tamper, const MaliciousCloud::Output& out) {
         const bool accepted =
-            verify_query(rig.acc_params, rig.cloud->accumulator_value(),
-                         tokens, out.replies, rig.config.prime_bits);
+            verify_query(rig.acc_params, rig.cloud->shard_values(),
+                         tokens, out.replies, rig.config.prime_bits).verified;
         if (!out.tampered || tamper_is_benign(tamper)) {
           // False-reject check: honest or benign replies MUST verify.
           EXPECT_TRUE(accepted)
@@ -93,14 +93,14 @@ TEST(AdversarySoak, FullTaxonomyAcrossSeeds) {
         rig.ingest({{next_id++, pivot + 1}});
         const auto honest_after = rig.cloud->search(tokens);
         ASSERT_TRUE(verify_query(rig.acc_params,
-                                 rig.cloud->accumulator_value(), tokens,
-                                 honest_after, rig.config.prime_bits))
+                                 rig.cloud->shard_values(), tokens,
+                                 honest_after, rig.config.prime_bits).verified)
             << "old tokens must stay verifiable after an update";
         const auto out = mal.search(tokens);
         ASSERT_TRUE(out.tampered);
         EXPECT_FALSE(verify_query(rig.acc_params,
-                                  rig.cloud->accumulator_value(), tokens,
-                                  out.replies, rig.config.prime_bits))
+                                  rig.cloud->shard_values(), tokens,
+                                  out.replies, rig.config.prime_bits).verified)
             << "false accept: stale_replay seed=" << seed;
         ++bite_count[Tamper::kStaleReplay];
       }
@@ -209,16 +209,16 @@ TEST(AdversarySoak, EmptyResultQueriesStillSoak) {
   // No record matches: every reply has an empty result list.
   const auto tokens = rig.user->make_tokens(250, MatchCondition::kGreater);
   const auto honest = rig.cloud->search(tokens);
-  ASSERT_TRUE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
-                           tokens, honest, rig.config.prime_bits));
+  ASSERT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(),
+                           tokens, honest, rig.config.prime_bits).verified);
 
   for (const Tamper tamper : kAllTampers) {
     if (tamper == Tamper::kStaleReplay) continue;
     MaliciousCloud mal(*rig.cloud, tamper, /*seed=*/99);
     const auto out = mal.search(tokens);
     const bool accepted =
-        verify_query(rig.acc_params, rig.cloud->accumulator_value(), tokens,
-                     out.replies, rig.config.prime_bits);
+        verify_query(rig.acc_params, rig.cloud->shard_values(), tokens,
+                     out.replies, rig.config.prime_bits).verified;
     if (!out.tampered || tamper_is_benign(tamper)) {
       EXPECT_TRUE(accepted) << tamper_name(tamper);
     } else {

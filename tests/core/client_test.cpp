@@ -26,47 +26,48 @@ class ClientTest : public ::testing::Test {
 };
 
 TEST_F(ClientTest, PrimitiveConditions) {
-  auto eq = client_->equal(30);
+  auto eq = client_->query(Pred::value().eq(30));
   EXPECT_TRUE(eq.verified);
   EXPECT_EQ(eq.ids, (std::vector<RecordId>{3, 5}));
 
-  auto gt = client_->greater(40);
+  auto gt = client_->query(Pred::value().gt(40));
   EXPECT_TRUE(gt.verified);
   EXPECT_EQ(gt.ids, (std::vector<RecordId>{6}));
 
-  auto lt = client_->less(20);
+  auto lt = client_->query(Pred::value().lt(20));
   EXPECT_TRUE(lt.verified);
   EXPECT_EQ(lt.ids, (std::vector<RecordId>{1, 7}));
 }
 
 TEST_F(ClientTest, ExclusiveInterval) {
-  auto r = client_->between(10, 40);  // 10 < v < 40
+  auto r = client_->query(Pred::value().between(10, 40));  // 10 < v < 40
   EXPECT_TRUE(r.verified);
   EXPECT_EQ(r.ids, (std::vector<RecordId>{2, 3, 5}));
   EXPECT_GT(r.token_count, 0u);
 }
 
 TEST_F(ClientTest, InclusiveInterval) {
-  auto r = client_->between_inclusive(10, 40);  // 10 <= v <= 40
+  // 10 <= v <= 40
+  auto r = client_->query(Pred::value().between_inclusive(10, 40));
   EXPECT_TRUE(r.verified);
   EXPECT_EQ(r.ids, (std::vector<RecordId>{1, 2, 3, 4, 5}));
 }
 
 TEST_F(ClientTest, InclusiveIntervalSinglePoint) {
-  auto r = client_->between_inclusive(30, 30);
+  auto r = client_->query(Pred::value().between_inclusive(30, 30));
   EXPECT_TRUE(r.verified);
   EXPECT_EQ(r.ids, (std::vector<RecordId>{3, 5}));
 }
 
 TEST_F(ClientTest, InclusiveAdjacentEndpoints) {
   // [29, 30]: exclusive core (29,30) is empty; endpoints still found.
-  auto r = client_->between_inclusive(29, 30);
+  auto r = client_->query(Pred::value().between_inclusive(29, 30));
   EXPECT_TRUE(r.verified);
   EXPECT_EQ(r.ids, (std::vector<RecordId>{3, 5}));
 }
 
 TEST_F(ClientTest, FullDomainInterval) {
-  auto r = client_->between_inclusive(0, 255);
+  auto r = client_->query(Pred::value().between_inclusive(0, 255));
   EXPECT_TRUE(r.verified);
   EXPECT_EQ(r.ids, (std::vector<RecordId>{1, 2, 3, 4, 5, 6, 7}));
 }
@@ -74,9 +75,11 @@ TEST_F(ClientTest, FullDomainInterval) {
 TEST_F(ClientTest, EmptyIntervalReturnsVerifiedEmpty) {
   // A provably empty interval is a valid query with a trivially verified
   // empty answer — no cloud round trip, no exception.
+  const auto v = Pred::value();
   for (const auto& r :
-       {client_->between(40, 40), client_->between(40, 41),  // exclusive
-        client_->between(41, 40), client_->between_inclusive(41, 40)}) {
+       {client_->query(v.between(40, 40)),  // exclusive
+        client_->query(v.between(40, 41)), client_->query(v.between(41, 40)),
+        client_->query(v.between_inclusive(41, 40))}) {
     EXPECT_TRUE(r.verified);
     EXPECT_TRUE(r.ids.empty());
     EXPECT_EQ(r.token_count, 0u);
@@ -86,16 +89,17 @@ TEST_F(ClientTest, EmptyIntervalReturnsVerifiedEmpty) {
 }
 
 TEST_F(ClientTest, StrictIntervalsEnvRestoresThrow) {
+  const auto v = Pred::value();
   ::setenv("SLICER_STRICT_INTERVALS", "1", 1);
-  EXPECT_THROW(client_->between(40, 40), CryptoError);
-  EXPECT_THROW(client_->between(41, 40), CryptoError);
-  EXPECT_THROW(client_->between_inclusive(41, 40), CryptoError);
+  EXPECT_THROW(client_->query(v.between(40, 40)), CryptoError);
+  EXPECT_THROW(client_->query(v.between(41, 40)), CryptoError);
+  EXPECT_THROW(client_->query(v.between_inclusive(41, 40)), CryptoError);
   ::unsetenv("SLICER_STRICT_INTERVALS");
-  EXPECT_TRUE(client_->between(40, 40).verified);
+  EXPECT_TRUE(client_->query(v.between(40, 40)).verified);
 }
 
 TEST_F(ClientTest, VerificationDetail) {
-  const auto r = client_->between_inclusive(10, 40);
+  const auto r = client_->query(Pred::value().between_inclusive(10, 40));
   EXPECT_TRUE(r.verified);
   EXPECT_GT(r.token_count, 0u);
   EXPECT_EQ(r.tokens_verified, r.token_count);
@@ -106,7 +110,7 @@ TEST_F(ClientTest, VerificationDetail) {
 TEST_F(ClientTest, DeduplicatesAcrossSlices) {
   // A record matching an order condition matches exactly one slice, but the
   // client guarantees dedup regardless.
-  auto r = client_->greater(0);
+  auto r = client_->query(Pred::value().gt(0));
   EXPECT_EQ(r.ids, (std::vector<RecordId>{1, 2, 3, 4, 5, 6}));
 }
 
@@ -120,14 +124,17 @@ TEST(ClientMultiAttr, PerAttributeQueries) {
   rig.user->refresh(rig.owner->export_user_state());
   QueryClient client(*rig.user, *rig.cloud, rig.config.prime_bits);
 
-  EXPECT_EQ(client.greater("age", 40).ids, (std::vector<RecordId>{2}));
-  EXPECT_EQ(client.greater("score", 50).ids, (std::vector<RecordId>{1}));
-  EXPECT_EQ(client.between("age", 20, 70).ids, (std::vector<RecordId>{1, 2}));
-  EXPECT_EQ(client.between_inclusive("age", 30, 60).ids,
+  const auto age = Pred::attr("age");
+  const auto score = Pred::attr("score");
+  EXPECT_EQ(client.query(age.gt(40)).ids, (std::vector<RecordId>{2}));
+  EXPECT_EQ(client.query(score.gt(50)).ids, (std::vector<RecordId>{1}));
+  EXPECT_EQ(client.query(age.between(20, 70)).ids,
             (std::vector<RecordId>{1, 2}));
-  EXPECT_EQ(client.between_inclusive("score", 90, 90).ids,
+  EXPECT_EQ(client.query(age.between_inclusive(30, 60)).ids,
+            (std::vector<RecordId>{1, 2}));
+  EXPECT_EQ(client.query(score.between_inclusive(90, 90)).ids,
             (std::vector<RecordId>{1}));
-  EXPECT_TRUE(client.between_inclusive("age", 61, 60).ids.empty());
+  EXPECT_TRUE(client.query(age.between_inclusive(61, 60)).ids.empty());
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ TEST(CloudReadPath, ProofCacheHitsAndEpochInvalidation) {
   rig.ingest({{100, 41}});
   const auto third = rig.cloud->search(tokens);
   EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(), tokens,
-                           third, rig.config.prime_bits))
+                           third, rig.config.prime_bits).verified)
       << "epoch invalidation must force fresh witnesses after apply";
 }
 
@@ -82,7 +82,7 @@ TEST(CloudReadPath, WalkMemoDedupsSharedPermutationSteps) {
     EXPECT_EQ(replies[i].witness, replies[n + i].witness);
   }
   EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(), tokens,
-                           replies, rig.config.prime_bits));
+                           replies, rig.config.prime_bits).verified);
 }
 
 TEST(CloudReadPath, TokensServedCountsOnlyProvenTokens) {
@@ -127,7 +127,7 @@ TEST(CloudReadPath, RestoreClearsProofCache) {
   EXPECT_EQ(misses.value() - misses0, tokens.size())
       << "a restored cloud starts with a cold proof cache";
   EXPECT_TRUE(verify_query(rig.acc_params, fresh.cloud->shard_values(),
-                           tokens, replies, rig.config.prime_bits));
+                           tokens, replies, rig.config.prime_bits).verified);
   EXPECT_EQ(decrypt_sorted(rig, replies), decrypt_sorted(rig, warm));
 }
 

@@ -38,8 +38,8 @@ TEST(CrashRecovery, CloudSearchWorkerFaultPropagatesAndPoolSurvives) {
   // The pool must be fully usable after an aborted parallel region: the
   // same query runs clean and verifies once the plan is disarmed.
   const auto replies = rig.cloud->search(tokens);
-  EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
-                           tokens, replies, rig.config.prime_bits));
+  EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(),
+                           tokens, replies, rig.config.prime_bits).verified);
   auto ids = rig.user->decrypt(replies);
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<RecordId>{1, 4}));
@@ -84,8 +84,8 @@ TEST(CrashRecovery, OwnerResumesBitIdenticalFromSnapshot) {
   const auto tokens = resumed.user->make_tokens(42, MatchCondition::kEqual);
   const auto replies = resumed.cloud->search(tokens);
   EXPECT_TRUE(verify_query(resumed.acc_params,
-                           resumed.cloud->accumulator_value(), tokens,
-                           replies, resumed.config.prime_bits));
+                           resumed.cloud->shard_values(), tokens,
+                           replies, resumed.config.prime_bits).verified);
   auto ids = resumed.user->decrypt(replies);
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<RecordId>{1, 4, 6}));
@@ -105,8 +105,8 @@ TEST(CrashRecovery, ProbabilisticFaultsNeverCorruptAcceptedSearches) {
   for (int i = 0; i < 40; ++i) {
     try {
       const auto replies = rig.cloud->search(tokens);
-      EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
-                               tokens, replies, rig.config.prime_bits))
+      EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(),
+                               tokens, replies, rig.config.prime_bits).verified)
           << "accepted search under faults must still verify";
       ++clean;
     } catch (const FaultError&) {

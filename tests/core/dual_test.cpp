@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include "common/errors.hpp"
 
 namespace slicer::core {
@@ -156,6 +160,41 @@ TEST(Dual, BatchInsertAndMixedWorkload) {
   const auto r = dual.query(50, MatchCondition::kLess);
   EXPECT_TRUE(r.verified);
   EXPECT_EQ(sorted(r.ids), expect);
+}
+
+TEST(Dual, InsertDeleteUpdateVerifyAtFourShards) {
+  // K > 1: each instance routes its primes to four shards, so a query must
+  // verify against the per-shard values, not the folded digest. The shard
+  // count is resolved from SLICER_SHARDS when the instances are built.
+  const char* saved = std::getenv("SLICER_SHARDS");
+  const std::optional<std::string> previous =
+      saved ? std::optional<std::string>(saved) : std::nullopt;
+  ::setenv("SLICER_SHARDS", "4", 1);
+  DualSlicer dual = make_dual(8, "dual-k4");
+  if (previous)
+    ::setenv("SLICER_SHARDS", previous->c_str(), 1);
+  else
+    ::unsetenv("SLICER_SHARDS");
+
+  std::vector<Record> batch;
+  for (RecordId id = 1; id <= 12; ++id) batch.push_back(Record{id, id * 20});
+  dual.insert(batch);
+  dual.erase(3);
+  dual.erase(8);
+  dual.update(5, 7);
+
+  const auto gt = dual.query(100, MatchCondition::kGreater);
+  EXPECT_TRUE(gt.verified);
+  EXPECT_EQ(sorted(gt.ids), (std::vector<RecordId>{6, 7, 9, 10, 11, 12}));
+  const auto lt = dual.query(100, MatchCondition::kLess);
+  EXPECT_TRUE(lt.verified);
+  EXPECT_EQ(sorted(lt.ids), (std::vector<RecordId>{1, 2, 4, 5}));
+  const auto eq = dual.query(7, MatchCondition::kEqual);
+  EXPECT_TRUE(eq.verified);
+  EXPECT_EQ(eq.ids, (std::vector<RecordId>{5}));
+  const auto gone = dual.query(60, MatchCondition::kEqual);  // id 3, erased
+  EXPECT_TRUE(gone.verified);
+  EXPECT_TRUE(gone.ids.empty());
 }
 
 }  // namespace

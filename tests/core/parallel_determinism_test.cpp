@@ -59,8 +59,9 @@ RunTranscript run_protocol() {
     const auto tokens = rig.user->make_tokens(value, mc);
     const auto replies = rig.cloud->search(tokens);
     t.all_verified = t.all_verified &&
-                     verify_query(rig.acc_params, rig.cloud->accumulator_value(),
-                                  tokens, replies, rig.config.prime_bits);
+                     verify_query(rig.acc_params, rig.cloud->shard_values(),
+                                  tokens, replies, rig.config.prime_bits)
+                         .verified;
     for (const TokenReply& r : replies) t.reply_bytes.push_back(r.serialize());
   };
   record_search(1ull << (kBits - 1), MatchCondition::kGreater);

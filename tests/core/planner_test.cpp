@@ -1,7 +1,7 @@
 // Boolean query planner: the Pred builder, compile_spec normalization
-// (De Morgan / interval complement, clause dedup, empty intervals), wrapper
-// parity of the classic verbs, the combiner cache, and the verified
-// aggregates.
+// (De Morgan / interval complement, clause dedup, empty intervals), single-
+// leaf parity with the direct protocol, the combiner cache, and the
+// verified aggregates.
 #include "core/query.hpp"
 
 #include <gtest/gtest.h>
@@ -216,16 +216,24 @@ TEST_F(PlannerTest, WholePlanIsOneRoundTripWithSharedVerification) {
   EXPECT_EQ(r.token_detail.size(), r.token_count);
 }
 
-TEST_F(PlannerTest, WrapperVerbsMatchPlannerQueries) {
-  const auto verb = client_->between("age", 30, 40);
-  const auto planned = client_->query(Pred::attr("age").between(30, 40));
-  EXPECT_EQ(verb.ids, planned.ids);
-  EXPECT_EQ(verb.verified, planned.verified);
-  EXPECT_EQ(verb.token_count, planned.token_count);
+TEST_F(PlannerTest, SingleLeafQueryMatchesDirectSearch) {
+  // A one-leaf spec is one clause: the planner adds nothing to the
+  // protocol's own tokens → search → verify → decrypt round.
+  const QueryResult planned = client_->query(Pred::attr("dept").eq(7));
+  const auto tokens = rig_.user->make_tokens("dept", 7, MatchCondition::kEqual);
+  const auto replies = rig_.cloud->search(tokens);
+  EXPECT_TRUE(verify_query(rig_.acc_params, rig_.cloud->shard_values(),
+                           tokens, replies, rig_.config.prime_bits)
+                  .verified);
+  auto direct = rig_.user->decrypt(replies);
+  std::sort(direct.begin(), direct.end());
+  EXPECT_TRUE(planned.verified);
+  EXPECT_EQ(planned.clause_count, 1u);
+  EXPECT_EQ(planned.token_count, tokens.size());
+  EXPECT_EQ(planned.ids, direct);
 
-  const auto eq_verb = client_->equal("dept", 7);
-  const auto eq_planned = client_->query(Pred::attr("dept").eq(7));
-  EXPECT_EQ(eq_verb.ids, eq_planned.ids);
+  const auto interval = Pred::attr("age").between(30, 40);
+  EXPECT_EQ(client_->query(interval).ids, oracle(interval));
 }
 
 TEST_F(PlannerTest, OptionsOverrideEnvDefaults) {

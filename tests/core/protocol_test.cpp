@@ -174,14 +174,16 @@ TEST(Protocol, FreshnessStaleProofFailsAgainstNewAccumulator) {
   rig.ingest({{1, 42}});
   const auto tokens = rig.user->make_tokens(42, MatchCondition::kEqual);
   const auto stale_replies = rig.cloud->search(tokens);
-  ASSERT_TRUE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
-                           tokens, stale_replies, rig.config.prime_bits));
+  ASSERT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(), tokens,
+                           stale_replies, rig.config.prime_bits)
+                  .verified);
 
   rig.ingest({{2, 99}});  // updates Ac on the "blockchain"
 
   // The stale reply (token now also stale) fails against the fresh Ac.
-  EXPECT_FALSE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
-                            tokens, stale_replies, rig.config.prime_bits));
+  EXPECT_FALSE(verify_query(rig.acc_params, rig.cloud->shard_values(), tokens,
+                            stale_replies, rig.config.prime_bits)
+                   .verified);
 }
 
 // --- Malicious cloud behaviours --------------------------------------------
@@ -196,8 +198,8 @@ class MaliciousCloud : public ::testing::Test {
   }
 
   bool honest_verifies() const {
-    return verify_query(rig_.acc_params, rig_.cloud->accumulator_value(),
-                        tokens_, replies_, rig_.config.prime_bits);
+    return verify_query(rig_.acc_params, rig_.cloud->shard_values(),
+                        tokens_, replies_, rig_.config.prime_bits).verified;
   }
 
   Rig rig_;
@@ -267,8 +269,8 @@ TEST(Protocol, MultiAttributeSearch) {
   auto run = [&](std::string_view attr, std::uint64_t v, MatchCondition mc) {
     const auto tokens = rig.user->make_tokens(attr, v, mc);
     const auto replies = rig.cloud->search(tokens);
-    EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
-                             tokens, replies, rig.config.prime_bits));
+    EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(),
+                             tokens, replies, rig.config.prime_bits).verified);
     auto ids = rig.user->decrypt(replies);
     std::sort(ids.begin(), ids.end());
     return ids;

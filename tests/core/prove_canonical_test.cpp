@@ -47,8 +47,10 @@ TEST_F(ProveCanonicalTest, ShuffledResultsYieldIdenticalReply) {
     // Identical witness for every permutation...
     EXPECT_EQ(reply.witness, baseline.witness);
     // ...and the proof verifies regardless of the order it carries.
-    EXPECT_TRUE(verify_reply(rig_.acc_params, rig_.cloud->accumulator_value(),
-                             tokens[0], reply, rig_.config.prime_bits));
+    EXPECT_TRUE(verify_query(rig_.acc_params, rig_.cloud->shard_values(),
+                             std::span(&tokens[0], 1), std::span(&reply, 1),
+                             rig_.config.prime_bits)
+                    .verified);
   }
 }
 
@@ -63,8 +65,8 @@ TEST_F(ProveCanonicalTest, ReversedOrderQueryVerifies) {
     std::reverse(results.begin(), results.end());
     replies.push_back(rig_.cloud->prove(t, std::move(results)));
   }
-  EXPECT_TRUE(verify_query(rig_.acc_params, rig_.cloud->accumulator_value(),
-                           tokens, replies, rig_.config.prime_bits));
+  EXPECT_TRUE(verify_query(rig_.acc_params, rig_.cloud->shard_values(),
+                           tokens, replies, rig_.config.prime_bits).verified);
 }
 
 TEST_F(ProveCanonicalTest, TamperedMultisetStillRejected) {
@@ -81,8 +83,10 @@ TEST_F(ProveCanonicalTest, TamperedMultisetStillRejected) {
   const TokenReply honest = rig_.cloud->prove(tokens[0], results);
   TokenReply forged = honest;
   forged.encrypted_results = tampered;
-  EXPECT_FALSE(verify_reply(rig_.acc_params, rig_.cloud->accumulator_value(),
-                            tokens[0], forged, rig_.config.prime_bits));
+  EXPECT_FALSE(verify_query(rig_.acc_params, rig_.cloud->shard_values(),
+                            std::span(&tokens[0], 1), std::span(&forged, 1),
+                            rig_.config.prime_bits)
+                   .verified);
 }
 
 }  // namespace

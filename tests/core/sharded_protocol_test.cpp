@@ -142,47 +142,12 @@ TEST(ShardedProtocol, IncrementalRefreshServesCachedWitnesses) {
   EXPECT_GT(hits.value(), hits_before);
 }
 
-TEST(ShardedProtocol, AsyncRefreshMatchesSynchronous) {
-  // The background refresh is a latency knob, not a semantics knob: replies
-  // are byte-identical to the synchronous rig, both while the refresh is in
-  // flight (on-demand fallback) and after it lands (cache hit).
-  Rig sync_rig = Rig::make(8, "shard-async", {}, 4);
-  Rig async_rig = Rig::make(8, "shard-async", {}, 4);
-  async_rig.cloud->set_async_witness_refresh(true);
-
-  for (Rig* rig : {&sync_rig, &async_rig}) {
-    rig->ingest(golden_batch1());
-    rig->cloud->precompute_witnesses();
-    rig->ingest(golden_batch2());
-  }
-
-  const auto tokens_sync =
-      sync_rig.user->make_tokens(42, MatchCondition::kGreater);
-  const auto tokens_async =
-      async_rig.user->make_tokens(42, MatchCondition::kGreater);
-
-  // Possibly mid-refresh: the async cloud must still produce exact proofs.
-  const auto replies_during = async_rig.cloud->search(tokens_async);
-  async_rig.cloud->wait_for_witness_refresh();
-  const auto replies_after = async_rig.cloud->search(tokens_async);
-  const auto replies_sync = sync_rig.cloud->search(tokens_sync);
-
-  ASSERT_EQ(replies_sync.size(), replies_during.size());
-  for (std::size_t i = 0; i < replies_sync.size(); ++i) {
-    EXPECT_EQ(replies_during[i].witness, replies_sync[i].witness) << i;
-    EXPECT_EQ(replies_after[i].witness, replies_sync[i].witness) << i;
-  }
-  EXPECT_TRUE(verify_query(async_rig.acc_params,
-                           async_rig.cloud->shard_values(), tokens_async,
-                           replies_during, async_rig.config.prime_bits));
-}
-
-TEST(ShardedProtocol, AsyncGroupedRefreshMatchesOnDemandWitnesses) {
-  // Property over the background refresh: after each of several batches of
-  // growing size (one record up to enough to span several new witness
-  // groups per shard), the refreshed cache serves every queried witness —
-  // no on-demand fallback — and each equals the exact on-demand witness of
-  // a cloud that never caches.
+TEST(ShardedProtocol, GroupedRefreshMatchesOnDemandWitnesses) {
+  // Property over the per-group refresh in apply(): after each of several
+  // batches of growing size (one record up to enough to span several new
+  // witness groups per shard), the refreshed cache serves every queried
+  // witness — no on-demand fallback — and each equals the exact on-demand
+  // witness of a cloud that never caches.
   const metrics::ScopedMetrics scoped;
   const auto& misses = metrics::counter("core.cloud.witness_cache.misses");
   const std::vector<std::size_t> batch_sizes{1, 3, 12, 40};
@@ -190,7 +155,6 @@ TEST(ShardedProtocol, AsyncGroupedRefreshMatchesOnDemandWitnesses) {
     Rig cached = Rig::make(8, "shard-async-prop", {}, k);
     Rig on_demand = Rig::make(8, "shard-async-prop", {}, k);
     cached.cloud->precompute_witnesses();
-    cached.cloud->set_async_witness_refresh(true);
     std::uint64_t id = 1;
     for (const std::size_t n : batch_sizes) {
       std::vector<Record> batch;
@@ -198,7 +162,6 @@ TEST(ShardedProtocol, AsyncGroupedRefreshMatchesOnDemandWitnesses) {
         batch.push_back({id, (id * 151 + 7) % 256});
       cached.ingest(batch);
       on_demand.ingest(batch);
-      cached.cloud->wait_for_witness_refresh();
       for (const std::uint64_t value : {0ull, 42ull, 111ull, 200ull, 255ull}) {
         for (const auto mc : {MatchCondition::kEqual, MatchCondition::kGreater,
                               MatchCondition::kLess}) {

@@ -38,8 +38,8 @@ TEST(Snapshot, RestoredUserProducesWorkingTokens) {
                     crypto::Drbg(str_bytes("restored-user")));
   const auto tokens = restored.make_tokens(42, MatchCondition::kEqual);
   const auto replies = rig.cloud->search(tokens);
-  EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
-                           tokens, replies, rig.config.prime_bits));
+  EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(),
+                           tokens, replies, rig.config.prime_bits).verified);
   auto ids = restored.decrypt(replies);
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<RecordId>{1, 2}));
@@ -65,8 +65,8 @@ TEST(Snapshot, OwnerRestoreContinuesProtocol) {
   ASSERT_EQ(tokens.size(), 1u);
   EXPECT_EQ(tokens[0].j, 1u);  // generation advanced across the restore
   const auto replies = rig.cloud->search(tokens);
-  EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
-                           tokens, replies, rig.config.prime_bits));
+  EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(),
+                           tokens, replies, rig.config.prime_bits).verified);
   auto ids = user.decrypt(replies);
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<RecordId>{1, 3}));
@@ -96,8 +96,8 @@ TEST(Snapshot, CloudRestoreServesQueries) {
 
   const auto tokens = rig.user->make_tokens(42, MatchCondition::kEqual);
   const auto replies = fresh.cloud->search(tokens);
-  EXPECT_TRUE(verify_query(rig.acc_params, fresh.cloud->accumulator_value(),
-                           tokens, replies, rig.config.prime_bits));
+  EXPECT_TRUE(verify_query(rig.acc_params, fresh.cloud->shard_values(),
+                           tokens, replies, rig.config.prime_bits).verified);
   EXPECT_EQ(rig.user->decrypt(replies), (std::vector<RecordId>{1}));
 }
 

@@ -64,7 +64,7 @@ struct Rig {
     QueryOutcome out;
     out.token_count = tokens.size();
     out.verified = verify_query(acc_params, cloud->shard_values(), tokens,
-                                replies, config.prime_bits);
+                                replies, config.prime_bits).verified;
     out.ids = user->decrypt(replies);
     std::sort(out.ids.begin(), out.ids.end());
     return out;

@@ -35,8 +35,8 @@ TEST(WireProtocol, FullSearchOverSerializedMessages) {
   std::vector<TokenReply> replies;
   for (const Bytes& b : token_wire) tokens.push_back(SearchToken::deserialize(b));
   for (const Bytes& b : reply_wire) replies.push_back(TokenReply::deserialize(b));
-  EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
-                           tokens, replies, rig.config.prime_bits));
+  EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(),
+                           tokens, replies, rig.config.prime_bits).verified);
 
   // User side: decode replies, decrypt.
   auto ids = rig.user->decrypt(replies);
@@ -54,8 +54,8 @@ TEST(WireProtocol, UserOnboardingViaSerializedState) {
                     crypto::Drbg(str_bytes("new-user")));
   const auto tokens = new_user.make_tokens(100, MatchCondition::kGreater);
   const auto replies = rig.cloud->search(tokens);
-  EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->accumulator_value(),
-                           tokens, replies, rig.config.prime_bits));
+  EXPECT_TRUE(verify_query(rig.acc_params, rig.cloud->shard_values(),
+                           tokens, replies, rig.config.prime_bits).verified);
   EXPECT_EQ(new_user.decrypt(replies), (std::vector<RecordId>{2}));
 }
 
@@ -72,8 +72,8 @@ TEST(WireProtocol, CloudMigrationMidProtocol) {
 
   const auto replies = replacement.cloud->search(tokens);
   EXPECT_TRUE(verify_query(rig.acc_params,
-                           replacement.cloud->accumulator_value(), tokens,
-                           replies, rig.config.prime_bits));
+                           replacement.cloud->shard_values(), tokens,
+                           replies, rig.config.prime_bits).verified);
   EXPECT_EQ(rig.user->decrypt(replies), (std::vector<RecordId>{1}));
 }
 

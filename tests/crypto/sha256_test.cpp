@@ -63,6 +63,18 @@ TEST(Sha256, ExactBlockSizedMessages) {
   }
 }
 
+TEST(Sha256, EmptyUpdateAfterPartialBlock) {
+  // An empty view (null data()) arriving while the block buffer is partly
+  // full must leave the digest unchanged.
+  const Bytes msg = str_bytes("abc");
+  Sha256 ctx;
+  ctx.update(msg);
+  ctx.update(BytesView{});
+  ctx.update(Bytes{});
+  const auto d = ctx.finish();
+  EXPECT_EQ(Bytes(d.begin(), d.end()), Sha256::digest(msg));
+}
+
 // CAVP vector: 56-byte boundary message.
 TEST(Sha256, LeadingZeroDigestHandling) {
   // Digest of "hello world" — sanity against a widely known value.

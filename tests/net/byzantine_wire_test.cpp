@@ -1,5 +1,6 @@
 // Byzantine soak at the protocol boundary: a tampering hook on the
-// server's writer thread mutates serialized reply frames — frame-level
+// server's writer thread mutates serialized QUERY_PLAN reply frames (the
+// protocol's one read reply) — frame-level
 // corruption (dropped, truncated, oversized-length, unknown-opcode,
 // duplicated frames) and semantic payload tampering (the MaliciousCloud
 // taxonomy re-staged on wire bytes: flipped/dropped/injected results,
@@ -17,16 +18,17 @@
 #include <string>
 #include <vector>
 
-#include "core/verify.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "tests/core/test_rig.hpp"
+#include "tests/net/plan_search.hpp"
 
 namespace slicer::net {
 namespace {
 
 using core::MatchCondition;
 using core::testing::Rig;
+using testing::wire_search;
 
 enum class WireTamper {
   kNone,
@@ -85,18 +87,26 @@ struct TamperState {
   std::mutex mu;
   WireTamper mode = WireTamper::kNone;
   std::uint64_t seed = 0;
-  Bytes recorded;  // kReplyReplay: the previously sent search reply
+  Bytes recorded;  // kReplyReplay: the previously sent QUERY_PLAN reply
   std::map<WireTamper, int> bites;
 };
 
-/// The writer-thread hook: only kSearchReply frames are tampered; the
+/// Every TokenReply of a decoded QUERY_PLAN reply, in clause order.
+std::vector<core::TokenReply*> token_replies(QueryPlanReply& reply) {
+  std::vector<core::TokenReply*> out;
+  for (core::ClauseReply& clause : reply.clauses)
+    for (core::TokenReply& tr : clause.replies) out.push_back(&tr);
+  return out;
+}
+
+/// The writer-thread hook: only kQueryPlanReply frames are tampered; the
 /// handshake and APPLY path stay honest (the soak targets the read path).
 std::vector<Bytes> tamper_frame(TamperState& st, const Bytes& frame) {
   const Frame f = decode_frame(frame);
-  if (static_cast<Op>(f.opcode) != Op::kSearchReply) return {frame};
+  if (static_cast<Op>(f.opcode) != Op::kQueryPlanReply) return {frame};
   std::lock_guard lock(st.mu);
-  const auto reencode = [&](const SearchReply& reply) {
-    return encode_frame(static_cast<std::uint8_t>(Op::kSearchReply),
+  const auto reencode = [&](const QueryPlanReply& reply) {
+    return encode_frame(static_cast<std::uint8_t>(Op::kQueryPlanReply),
                         reply.serialize());
   };
   const auto bite = [&] { ++st.bites[st.mode]; };
@@ -104,12 +114,13 @@ std::vector<Bytes> tamper_frame(TamperState& st, const Bytes& frame) {
     case WireTamper::kNone:
       return {frame};
     case WireTamper::kReorderResults: {
-      SearchReply reply = SearchReply::deserialize(f.payload);
+      QueryPlanReply reply = QueryPlanReply::deserialize(f.payload);
+      const std::vector<core::TokenReply*> trs = token_replies(reply);
       bool changed = false;
-      for (core::TokenReply& tr : reply.replies) {
-        if (tr.encrypted_results.size() >= 2) {
-          std::reverse(tr.encrypted_results.begin(),
-                       tr.encrypted_results.end());
+      for (core::TokenReply* tr : trs) {
+        if (tr->encrypted_results.size() >= 2) {
+          std::reverse(tr->encrypted_results.begin(),
+                       tr->encrypted_results.end());
           changed = true;
         }
       }
@@ -139,10 +150,11 @@ std::vector<Bytes> tamper_frame(TamperState& st, const Bytes& frame) {
       bite();
       return {frame, frame};
     case WireTamper::kFlipResultByte: {
-      SearchReply reply = SearchReply::deserialize(f.payload);
-      for (core::TokenReply& tr : reply.replies) {
-        if (!tr.encrypted_results.empty()) {
-          Bytes& er = tr.encrypted_results.front();
+      QueryPlanReply reply = QueryPlanReply::deserialize(f.payload);
+      const std::vector<core::TokenReply*> trs = token_replies(reply);
+      for (core::TokenReply* tr : trs) {
+        if (!tr->encrypted_results.empty()) {
+          Bytes& er = tr->encrypted_results.front();
           er[st.seed % er.size()] ^= 0x01;
           bite();
           break;
@@ -151,10 +163,11 @@ std::vector<Bytes> tamper_frame(TamperState& st, const Bytes& frame) {
       return {reencode(reply)};
     }
     case WireTamper::kDropResult: {
-      SearchReply reply = SearchReply::deserialize(f.payload);
-      for (core::TokenReply& tr : reply.replies) {
-        if (!tr.encrypted_results.empty()) {
-          tr.encrypted_results.pop_back();
+      QueryPlanReply reply = QueryPlanReply::deserialize(f.payload);
+      const std::vector<core::TokenReply*> trs = token_replies(reply);
+      for (core::TokenReply* tr : trs) {
+        if (!tr->encrypted_results.empty()) {
+          tr->encrypted_results.pop_back();
           bite();
           break;
         }
@@ -162,28 +175,30 @@ std::vector<Bytes> tamper_frame(TamperState& st, const Bytes& frame) {
       return {reencode(reply)};
     }
     case WireTamper::kInjectResult: {
-      SearchReply reply = SearchReply::deserialize(f.payload);
-      if (!reply.replies.empty()) {
+      QueryPlanReply reply = QueryPlanReply::deserialize(f.payload);
+      const std::vector<core::TokenReply*> trs = token_replies(reply);
+      if (!trs.empty()) {
         Bytes forged(16, static_cast<std::uint8_t>(st.seed));
-        reply.replies.front().encrypted_results.push_back(std::move(forged));
+        trs.front()->encrypted_results.push_back(std::move(forged));
         bite();
       }
       return {reencode(reply)};
     }
     case WireTamper::kSwapWitness: {
-      SearchReply reply = SearchReply::deserialize(f.payload);
-      if (reply.replies.size() >= 2 &&
-          !(reply.replies[0].witness == reply.replies[1].witness)) {
-        std::swap(reply.replies[0].witness, reply.replies[1].witness);
+      QueryPlanReply reply = QueryPlanReply::deserialize(f.payload);
+      const std::vector<core::TokenReply*> trs = token_replies(reply);
+      if (trs.size() >= 2 && !(trs[0]->witness == trs[1]->witness)) {
+        std::swap(trs[0]->witness, trs[1]->witness);
         bite();
       }
       return {reencode(reply)};
     }
     case WireTamper::kEmptyClaim: {
-      SearchReply reply = SearchReply::deserialize(f.payload);
-      for (core::TokenReply& tr : reply.replies) {
-        if (!tr.encrypted_results.empty()) {
-          tr.encrypted_results.clear();
+      QueryPlanReply reply = QueryPlanReply::deserialize(f.payload);
+      const std::vector<core::TokenReply*> trs = token_replies(reply);
+      for (core::TokenReply* tr : trs) {
+        if (!tr->encrypted_results.empty()) {
+          tr->encrypted_results.clear();
           bite();
           break;
         }
@@ -191,10 +206,10 @@ std::vector<Bytes> tamper_frame(TamperState& st, const Bytes& frame) {
       return {reencode(reply)};
     }
     case WireTamper::kForgeWitness: {
-      SearchReply reply = SearchReply::deserialize(f.payload);
-      if (!reply.replies.empty()) {
-        reply.replies.front().witness =
-            reply.replies.front().witness + bigint::BigUint(1);
+      QueryPlanReply reply = QueryPlanReply::deserialize(f.payload);
+      const std::vector<core::TokenReply*> trs = token_replies(reply);
+      if (!trs.empty()) {
+        trs.front()->witness = trs.front()->witness + bigint::BigUint(1);
         bite();
       }
       return {reencode(reply)};
@@ -234,7 +249,7 @@ TEST(ByzantineWire, FullTaxonomyAcrossSeeds) {
         [state](const Bytes& frame) { return tamper_frame(*state, frame); });
     server.start();
 
-    // Ship the database honestly (only kSearchReply frames are tampered,
+    // Ship the database honestly (only kQueryPlanReply frames are tampered,
     // but keep the mode at kNone during setup regardless).
     {
       std::lock_guard lock(state->mu);
@@ -267,12 +282,9 @@ TEST(ByzantineWire, FullTaxonomyAcrossSeeds) {
       std::vector<core::RecordId> honest_ids;
       {
         SlicerClientChannel ch(server.port(), "soak", one_shot);
-        const auto honest = ch.search(tokens);
-        ASSERT_TRUE(core::verify_query(rig.acc_params,
-                                       rig.owner->shard_values(), tokens,
-                                       honest, rig.config.prime_bits));
-        honest_ids = rig.user->decrypt(honest);
-        std::sort(honest_ids.begin(), honest_ids.end());
+        const auto honest = wire_search(ch, rig, tokens);
+        ASSERT_TRUE(honest.verified);
+        honest_ids = honest.ids;
       }
 
       for (const WireTamper tamper : kAllWireTampers) {
@@ -294,24 +306,13 @@ TEST(ByzantineWire, FullTaxonomyAcrossSeeds) {
         std::vector<core::RecordId> ids;
         try {
           if (two_phase) {
-            const auto first = ch.search(tokens);
-            ASSERT_TRUE(core::verify_query(rig.acc_params,
-                                           rig.owner->shard_values(), tokens,
-                                           first, rig.config.prime_bits))
+            ASSERT_TRUE(wire_search(ch, rig, tokens).verified)
                 << "setup query of " << tamper_name(tamper);
-            const auto second = ch.search(tokens2);
-            verified = core::verify_query(rig.acc_params,
-                                          rig.owner->shard_values(), tokens2,
-                                          second, rig.config.prime_bits);
+            verified = wire_search(ch, rig, tokens2).verified;
           } else {
-            const auto replies = ch.search(tokens);
-            verified = core::verify_query(rig.acc_params,
-                                          rig.owner->shard_values(), tokens,
-                                          replies, rig.config.prime_bits);
-            if (verified) {
-              ids = rig.user->decrypt(replies);
-              std::sort(ids.begin(), ids.end());
-            }
+            const auto answer = wire_search(ch, rig, tokens);
+            verified = answer.verified;
+            ids = answer.ids;
           }
         } catch (const Error&) {
           detected = true;  // transport/decode/protocol detection
@@ -375,9 +376,7 @@ TEST(ByzantineWire, StaleReplayAcrossUpdate) {
     std::lock_guard lock(state->mu);
     state->mode = WireTamper::kReplyReplay;  // records the first reply
   }
-  const auto before = ch.search(tokens);
-  ASSERT_TRUE(core::verify_query(rig.acc_params, rig.owner->shard_values(),
-                                 tokens, before, rig.config.prime_bits));
+  ASSERT_TRUE(wire_search(ch, rig, tokens).verified);
 
   // The owner inserts; the accumulator (and every witness) moves.
   {
@@ -389,18 +388,14 @@ TEST(ByzantineWire, StaleReplayAcrossUpdate) {
   ch.apply(growth);
 
   // Honest answer for the OLD tokens under the NEW accumulator verifies...
-  const auto honest_after = ch.search(tokens);
-  EXPECT_TRUE(core::verify_query(rig.acc_params, rig.owner->shard_values(),
-                                 tokens, honest_after, rig.config.prime_bits));
+  EXPECT_TRUE(wire_search(ch, rig, tokens).verified);
 
   // ...but the recorded pre-update reply, replayed on the wire, must fail.
   {
     std::lock_guard lock(state->mu);
     state->mode = WireTamper::kReplyReplay;
   }
-  const auto replayed = ch.search(tokens);
-  EXPECT_FALSE(core::verify_query(rig.acc_params, rig.owner->shard_values(),
-                                  tokens, replayed, rig.config.prime_bits))
+  EXPECT_FALSE(wire_search(ch, rig, tokens).verified)
       << "stale replayed reply verified against the advanced accumulator";
 }
 

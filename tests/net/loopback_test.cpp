@@ -14,6 +14,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "tests/core/test_rig.hpp"
+#include "tests/net/plan_search.hpp"
 
 namespace slicer::net {
 namespace {
@@ -22,6 +23,7 @@ using core::MatchCondition;
 using core::Record;
 using core::testing::plain_query;
 using core::testing::Rig;
+using testing::wire_search;
 
 std::vector<Record> sample_records() {
   std::vector<Record> out;
@@ -88,23 +90,13 @@ void run_every_opcode(std::size_t threads) {
 
   const auto tokens = rig.user->make_tokens(42, MatchCondition::kGreater);
 
-  // kSearch: per-token replies, verified against the owner's
-  // (trusted) shard values exactly as an in-process deployment would.
-  const auto replies = ch.search(tokens);
-  EXPECT_TRUE(core::verify_query(rig.acc_params, rig.owner->shard_values(),
-                                 tokens, replies, rig.config.prime_bits));
-  auto ids = rig.user->decrypt(replies);
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, plain_query(records, 42, MatchCondition::kGreater));
+  // kQueryPlan, one clause: a single-condition search, verified against
+  // the owner's (trusted) shard values.
+  const auto single = wire_search(ch, rig, tokens);
+  EXPECT_TRUE(single.verified);
+  EXPECT_EQ(single.ids, plain_query(records, 42, MatchCondition::kGreater));
 
-  // kFetch + kProve: the split read path.
-  const std::vector<Bytes> results = ch.fetch(tokens[0]);
-  const core::TokenReply proof = ch.prove(tokens[0], results);
-  EXPECT_EQ(proof.encrypted_results, results);
-  EXPECT_TRUE(core::verify_reply(rig.acc_params, rig.owner->shard_values(),
-                                 tokens[0], proof, rig.config.prime_bits));
-
-  // kQueryPlan: a whole two-clause batch in one round trip, verified per
+  // kQueryPlan, two clauses: a whole batch in one round trip, verified per
   // clause through verify_plan.
   QueryPlanRequest plan;
   plan.clauses.resize(2);
@@ -119,7 +111,7 @@ void run_every_opcode(std::size_t threads) {
   ASSERT_EQ(plan_reply.clauses.size(), 2u);
   auto plan_ids = rig.user->decrypt(plan_reply.clauses[0].replies);
   std::sort(plan_ids.begin(), plan_ids.end());
-  EXPECT_EQ(plan_ids, ids);  // clause 0 answers the same gt-42 query
+  EXPECT_EQ(plan_ids, single.ids);  // clause 0 answers the same gt-42 query
 
   server.stop();
 }
@@ -177,9 +169,7 @@ TEST(Loopback, TenantIsolation) {
 
   // Alpha still answers verified queries with beta connected.
   const auto tokens = alpha.user->make_tokens(100, MatchCondition::kLess);
-  const auto replies = ch_a.search(tokens);
-  EXPECT_TRUE(core::verify_query(alpha.acc_params, alpha.owner->shard_values(),
-                                 tokens, replies, alpha.config.prime_bits));
+  EXPECT_TRUE(wire_search(ch_a, alpha, tokens).verified);
 }
 
 TEST(Loopback, UnknownTenantRejected) {
@@ -302,12 +292,12 @@ TEST(Loopback, PipelinedRepliesKeepRequestOrder) {
   raw.send(Op::kHello, req.serialize());
   ASSERT_EQ(static_cast<Op>(raw.read_frame().opcode), Op::kHelloOk);
 
-  // A burst of pings followed by a malformed SEARCH payload: the replies
+  // A burst of pings followed by a malformed QUERY_PLAN payload: the replies
   // must arrive strictly in request order (pongs first, then the error)
   // even though the handlers run concurrently on the pool.
   constexpr int kPings = 8;
   for (int i = 0; i < kPings; ++i) raw.send(Op::kPing, BytesView{});
-  raw.send(Op::kSearch, str_bytes("not a search payload"));
+  raw.send(Op::kQueryPlan, str_bytes("not a query plan payload"));
   for (int i = 0; i < kPings; ++i) {
     EXPECT_EQ(static_cast<Op>(raw.read_frame().opcode), Op::kPong) << i;
   }
@@ -346,11 +336,7 @@ TEST(Loopback, ConcurrentClientsAllVerify) {
       SlicerClientChannel ch(server.port(), "alpha");
       for (int q = 0; q < kQueriesPerClient; ++q) {
         const auto& tokens = queries[c * kQueriesPerClient + q];
-        const auto replies = ch.search(tokens);
-        if (core::verify_query(rig.acc_params, rig.owner->shard_values(),
-                               tokens, replies, rig.config.prime_bits)) {
-          verified.fetch_add(1);
-        }
+        if (wire_search(ch, rig, tokens).verified) verified.fetch_add(1);
       }
     });
   }

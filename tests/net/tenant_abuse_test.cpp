@@ -159,9 +159,9 @@ TEST(TenantAbuse, UnknownOpcodesAccumulateIntoDisconnectAndBan) {
 
   RawClient raw(server.port());
   raw.hello("alpha");
-  // 0x04 is the retired SEARCH_AGGREGATED opcode: a v2 server must score
-  // it like any other unknown opcode.
-  for (const std::uint8_t op : {0x55, 0x04, 0x55, 0x04}) {
+  // The retired read opcodes — SEARCH (0x03), SEARCH_AGGREGATED (0x04),
+  // FETCH (0x05) and PROVE (0x06) — score like any other unknown opcode.
+  for (const std::uint8_t op : {0x03, 0x04, 0x05, 0x06}) {
     raw.send(static_cast<Op>(op), BytesView{});
     EXPECT_EQ(expect_error(raw).code, "protocol") << int{op};
   }
@@ -214,7 +214,7 @@ TEST(TenantAbuse, UndecodablePayloadScoresOnTheTenant) {
 
   RawClient raw(server.port());
   raw.hello("alpha");
-  raw.send(Op::kSearch, str_bytes("not a search payload"));
+  raw.send(Op::kQueryPlan, str_bytes("not a query plan payload"));
   EXPECT_EQ(expect_error(raw).code, "decode");
   EXPECT_EQ(server.tenant_misbehavior("alpha"), 20u);
   EXPECT_FALSE(server.tenant_banned("alpha"));
@@ -282,7 +282,7 @@ TEST(TenantAbuse, IdleTimeoutStrikesMidFrame) {
   RawClient raw(server.port());
   raw.hello("alpha");
   const Bytes full =
-      encode_frame(static_cast<std::uint8_t>(Op::kSearch), Bytes(64, 0x01));
+      encode_frame(static_cast<std::uint8_t>(Op::kQueryPlan), Bytes(64, 0x01));
   raw.sock.send_all(BytesView(full.data(), full.size() / 2));  // stall here
   // The server times the connection out and closes it without a reply.
   EXPECT_THROW(raw.read_frame(), NetError);
