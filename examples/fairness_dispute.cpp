@@ -4,6 +4,7 @@
 //   * an honest cloud is paid even if the data user would like to repudiate
 //     the (correct) results, and
 //   * a cheating cloud that drops a record is refused and the user refunded.
+// Exits 1 when either verdict is wrong (run it under any SLICER_SHARDS).
 //
 //   ./build/examples/fairness_dispute
 #include <cstdio>
@@ -47,8 +48,17 @@ int main() {
                                   world->owner->accumulator_value(),
                                   world->config.prime_bits));
   chain.seal_block();
-  std::printf("contract deployed at %s (%llu gas)\n\n",
+  std::printf("contract deployed at %s (%llu gas)\n",
               contract_addr.to_hex().substr(0, 12).c_str(),
+              (unsigned long long)chain.receipts().back().gas_used);
+  // The contract verifies each reply against its prime's shard value, so
+  // the owner publishes the per-shard values it accumulated.
+  const auto& shard_values = world->owner->shard_values();
+  chain.submit(chain.make_tx(owner_addr, contract_addr, 0,
+                             encode_update_shards(shard_values)));
+  chain.seal_block();
+  std::printf("owner publishes %zu shard value(s) (%llu gas)\n\n",
+              shard_values.size(),
               (unsigned long long)chain.receipts().back().gas_used);
 
   auto paid_search = [&](bool cloud_cheats) {
@@ -97,16 +107,17 @@ int main() {
     for (const auto& log : receipt->logs) std::printf("    event: %s\n",
                                                       log.c_str());
     balances(chain, user_addr, cloud_addr);
+    return verified;
   };
 
   std::printf("== round 1: honest cloud, user cannot repudiate ==\n");
-  paid_search(/*cloud_cheats=*/false);
+  const bool honest_paid = paid_search(/*cloud_cheats=*/false);
 
   std::printf("\n== round 2: cheating cloud, caught by public verification ==\n");
-  paid_search(/*cloud_cheats=*/true);
+  const bool cheater_paid = paid_search(/*cloud_cheats=*/true);
 
   std::printf("\nchain audit (hash chain, seals, rotation): %s\n",
               chain.verify_chain() ? "OK" : "FAILED");
   std::printf("blocks sealed: %zu\n", chain.blocks().size());
-  return 0;
+  return honest_paid && !cheater_paid ? 0 : 1;
 }

@@ -10,6 +10,7 @@
 #include "core/dual.hpp"
 
 using namespace slicer;
+using core::Pred;
 
 namespace {
 
@@ -56,25 +57,31 @@ int main() {
               clinic.live_count());
 
   show("seniors (age > 60):",
-       clinic.query(60, core::MatchCondition::kGreater), roster);
+       clinic.query(Pred::value().gt(60)), roster);
   show("minors (age < 18):",
-       clinic.query(18, core::MatchCondition::kLess), roster);
+       clinic.query(Pred::value().lt(18)), roster);
   show("exactly 45:",
-       clinic.query(45, core::MatchCondition::kEqual), roster);
+       clinic.query(Pred::value().eq(45)), roster);
+  show("adults 18-65, not 34:",
+       clinic.query(Pred::value().between_inclusive(18, 65) &&
+                    !Pred::value().eq(34)),
+       roster);
 
   // A patient leaves the practice: GDPR-style removal via the dual index.
   std::printf("\n-- ben transfers out (delete) --\n");
   clinic.erase(2);
   show("seniors (age > 60):",
-       clinic.query(60, core::MatchCondition::kGreater), roster);
+       clinic.query(Pred::value().gt(60)), roster);
+  show("over 30 or under 10:",
+       clinic.query(Pred::value().gt(30) || Pred::value().lt(10)), roster);
 
   // A birthday: update = delete + forward-secure re-insert.
   std::printf("\n-- carol turns 46 (update) --\n");
   clinic.update(3, 46);
   show("exactly 45:",
-       clinic.query(45, core::MatchCondition::kEqual), roster);
+       clinic.query(Pred::value().eq(45)), roster);
   show("exactly 46:",
-       clinic.query(46, core::MatchCondition::kEqual), roster);
+       clinic.query(Pred::value().eq(46)), roster);
 
   std::printf("\nadd-instance Ac: %s...\n",
               clinic.add_accumulator().to_hex().substr(0, 16).c_str());

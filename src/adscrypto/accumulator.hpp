@@ -65,10 +65,6 @@ class RsaAccumulator {
   static std::pair<AccumulatorParams, AccumulatorTrapdoor> setup(
       crypto::Drbg& rng, std::size_t modulus_bits, bool safe_primes = false);
 
-  /// Embedded deterministic 1024-bit parameters (generated once with
-  /// `setup`; see params.cpp) so benchmarks skip key generation.
-  static AccumulatorParams default_params_1024();
-
   const AccumulatorParams& params() const { return params_; }
 
   /// Ac = g^(∏ x) mod n — the public (trapdoor-free) path the cloud uses to
@@ -127,25 +123,6 @@ class RsaAccumulator {
                      const bigint::BigUint& element,
                      const bigint::BigUint& witness);
 
-  /// Non-membership witness (Li–Li–Xue universal accumulator, the paper's
-  /// ADS reference [28]): for prime x ∉ X, a pair (a, d) with
-  /// Ac^a = d^x · g (mod n) and 1 <= a < x, derived from Bézout
-  /// coefficients of (∏X, x). Lets a prover show a value was never
-  /// accumulated — e.g. certified empty results. Throws CryptoError when
-  /// x divides ∏X (i.e. x IS a member).
-  struct NonMembershipWitness {
-    bigint::BigUint a;
-    bigint::BigUint d;
-  };
-  NonMembershipWitness nonmember_witness(
-      std::span<const bigint::BigUint> primes, const bigint::BigUint& x) const;
-
-  /// Verifies a non-membership witness against `ac`.
-  static bool verify_nonmember(const AccumulatorParams& params,
-                               const bigint::BigUint& ac,
-                               const bigint::BigUint& x,
-                               const NonMembershipWitness& witness);
-
  private:
   /// Root-factor recursion over [lo, hi). `base` is in Montgomery form and
   /// already carries every prime outside the range in its exponent; halves
@@ -168,10 +145,10 @@ class RsaAccumulator {
 
   AccumulatorParams params_;
   bigint::Montgomery mont_;
-  /// Comb table for the generator — every membership/non-membership
-  /// exponentiation in this class is a power of the same g. Behind a
-  /// unique_ptr because the table (with its internal lock) is immovable
-  /// while RsaAccumulator itself must stay movable.
+  /// Comb table for the generator — every exponentiation in this class is
+  /// a power of the same g. Behind a unique_ptr because the table (with its
+  /// internal lock) is immovable while RsaAccumulator itself must stay
+  /// movable.
   std::unique_ptr<bigint::Montgomery::FixedBase> fixed_g_;
 };
 

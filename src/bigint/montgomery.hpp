@@ -79,9 +79,6 @@ class Montgomery {
   void pow_mont(const Elem& base, const BigUint& exp, Elem& out,
                 Scratch& s) const;
 
-  /// Montgomery form of 1 (i.e. R mod n).
-  const Elem& one_mont() const { return one_; }
-
   const BigUint& modulus() const { return n_big_; }
   std::size_t limb_count() const { return k_; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/env.hpp"
 #include "common/errors.hpp"
 #include "common/fault.hpp"
 #include "common/metrics.hpp"
@@ -59,10 +58,8 @@ Blockchain::Blockchain(std::vector<Address> validators, GasSchedule schedule,
     : schedule_(schedule), config_(config), validators_(std::move(validators)) {
   if (validators_.empty())
     throw ProtocolError("blockchain needs at least one validator");
-  mempool_cap_ =
-      config_.mempool_cap != 0
-          ? config_.mempool_cap
-          : env::size_knob("SLICER_MEMPOOL_CAP", 4096, 1, std::size_t{1} << 20);
+  mempool_cap_ = config_.mempool_cap != 0 ? config_.mempool_cap
+                                          : kDefaultMempoolCap;
   if (config_.max_fork_depth == 0)
     throw ProtocolError("max_fork_depth must be at least 1");
   // Derive a deterministic seal key per validator. A real PoA network uses

@@ -83,12 +83,15 @@ class Contract {
   virtual std::unique_ptr<Contract> clone() const = 0;
 };
 
+/// Mempool capacity when BlockchainConfig::mempool_cap is 0.
+inline constexpr std::size_t kDefaultMempoolCap = 4096;
+
 /// Tunables for the hostile-chain machinery.
 struct BlockchainConfig {
   /// Maximum pending transactions. When full, the cheapest entry (by fee)
   /// is evicted to admit a better-paying one; an incoming transaction that
   /// does not outbid the pool minimum is itself the eviction victim.
-  /// 0 = read the SLICER_MEMPOOL_CAP env knob (default 4096).
+  /// 0 = kDefaultMempoolCap.
   std::size_t mempool_cap = 0;
   /// Blocks buried deeper than this below the canonical tip are finalized:
   /// their state snapshots are pruned and no branch may fork from them.
@@ -224,7 +227,6 @@ class Blockchain {
   /// Back-compat alias for audit().
   bool verify_chain() const { return audit(); }
 
-  const GasSchedule& gas_schedule() const { return schedule_; }
   const ChainStats& stats() const { return stats_; }
   const std::vector<Address>& validators() const { return validators_; }
   std::size_t mempool_size() const { return mempool_.size(); }

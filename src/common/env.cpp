@@ -1,9 +1,9 @@
 #include "common/env.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <set>
 #include <string>
@@ -53,11 +53,6 @@ std::size_t size_knob(const char* name, std::size_t fallback,
     return clamped;
   }
   return static_cast<std::size_t>(parsed);
-}
-
-bool flag_knob(const char* name) {
-  const char* raw = std::getenv(name);
-  return raw != nullptr && *raw != '\0' && std::strcmp(raw, "0") != 0;
 }
 
 }  // namespace slicer::env

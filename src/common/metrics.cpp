@@ -76,7 +76,6 @@ void reset() {
   for (Histogram& h : reg.histogram_storage) {
     h.count_.store(0, std::memory_order_relaxed);
     h.sum_.store(0, std::memory_order_relaxed);
-    for (auto& b : h.buckets_) b.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -101,16 +100,8 @@ Snapshot snapshot() {
   Snapshot snap;
   for (const auto& [name, c] : reg.counters) snap.counters[name] = c->value();
   for (const auto& [name, g] : reg.gauges) snap.gauges[name] = g->value();
-  for (const auto& [name, h] : reg.histograms) {
-    Snapshot::HistogramData data;
-    data.count = h->count();
-    data.sum = h->sum();
-    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-      const std::uint64_t n = h->bucket(i);
-      if (n != 0) data.buckets.emplace_back(i, n);
-    }
-    snap.histograms[name] = std::move(data);
-  }
+  for (const auto& [name, h] : reg.histograms)
+    snap.histograms[name] = {h->count(), h->sum()};
   return snap;
 }
 
@@ -139,14 +130,7 @@ std::string snapshot_json() {
     out << (first ? "" : ", ") << '"';
     json_escape(out, name);
     out << "\": {\"count\": " << h.count << ", \"sum_ns\": " << h.sum
-        << ", \"total_ms\": " << static_cast<double>(h.sum) / 1e6
-        << ", \"buckets\": {";
-    bool bfirst = true;
-    for (const auto& [bucket, n] : h.buckets) {
-      out << (bfirst ? "" : ", ") << '"' << bucket << "\": " << n;
-      bfirst = false;
-    }
-    out << "}}";
+        << ", \"total_ms\": " << static_cast<double>(h.sum) / 1e6 << '}';
     first = false;
   }
   out << "}}";

@@ -1,5 +1,5 @@
-// Structured observability: named counters, gauges and log₂-bucketed
-// latency histograms.
+// Structured observability: named counters, gauges and latency histograms
+// (exact count and sum).
 //
 // Every protocol phase declares its instruments once (a function-local
 // static reference into the process-wide registry) and updates them inline.
@@ -25,7 +25,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace slicer::metrics {
 
@@ -74,43 +73,25 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Latency/size distribution with log₂ buckets: an observation v lands in
-/// bucket bit_width(v), i.e. bucket k holds [2^(k-1), 2^k). 65 buckets
-/// cover the full uint64 range; count and sum are kept exactly, so
+/// Latency/size distribution kept as an exact count and sum, so
 /// `sum / 1e6` of a nanosecond histogram is the phase's total wall-clock
 /// milliseconds (the property the phase-breakdown bench relies on).
+/// Percentiles come from exact samples kept by the benches, not from here.
 class Histogram {
  public:
-  static constexpr std::size_t kBuckets = 65;
-
   void record(std::uint64_t v) {
     if (!enabled()) return;
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
-    buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Bucket index of a value: 0 for v == 0, otherwise bit_width(v).
-  static std::size_t bucket_of(std::uint64_t v) {
-    std::size_t b = 0;
-    while (v != 0) {
-      v >>= 1;
-      ++b;
-    }
-    return b;
   }
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  std::uint64_t bucket(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
 
  private:
   friend void reset();
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> buckets_[kBuckets]{};
 };
 
 /// Registry lookups. Each returns a stable reference valid for the process
@@ -152,8 +133,6 @@ struct Snapshot {
   struct HistogramData {
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
-    /// (bucket index, count) pairs for non-empty buckets only.
-    std::vector<std::pair<std::size_t, std::uint64_t>> buckets;
   };
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, std::int64_t> gauges;
@@ -164,8 +143,7 @@ Snapshot snapshot();
 
 /// Deterministic JSON of the current snapshot:
 ///   {"counters": {...}, "gauges": {...},
-///    "histograms": {"name": {"count": c, "sum_ns": s, "total_ms": m,
-///                            "buckets": {"k": n, ...}}, ...}}
+///    "histograms": {"name": {"count": c, "sum_ns": s, "total_ms": m}, ...}}
 /// Names sort lexicographically; histogram "total_ms" is sum / 1e6 (the
 /// per-phase wall-clock figure the bench emitters report).
 std::string snapshot_json();

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "adscrypto/sharded_accumulator.hpp"
-#include "common/env.hpp"
 #include "common/errors.hpp"
 #include "common/metrics.hpp"
 #include "common/serial.hpp"
@@ -44,24 +43,11 @@ QueryClient::QueryClient(DataUser& user, CloudServer& cloud,
     : user_(user), cloud_(cloud), prime_bits_(prime_bits) {}
 
 ClausePlan QueryClient::plan_for(const QuerySpec& spec) const {
-  return plan_for(spec, QueryOptions::defaults());
-}
-
-ClausePlan QueryClient::plan_for(const QuerySpec& spec,
-                                 const QueryOptions& options) const {
-  PlanContext ctx;
-  ctx.default_attribute = user_.config().attribute;
-  ctx.strict_intervals = options.strict_intervals;
-  return compile_spec(spec, ctx);
+  return compile_spec(spec, PlanContext{user_.config().attribute});
 }
 
 QueryResult QueryClient::query(const QuerySpec& spec) {
-  return query(spec, QueryOptions::defaults());
-}
-
-QueryResult QueryClient::query(const QuerySpec& spec,
-                               const QueryOptions& options) {
-  return run_plan(plan_for(spec, options));
+  return run_plan(plan_for(spec));
 }
 
 Bytes QueryClient::clause_key(const PlanClause& clause,
@@ -72,18 +58,6 @@ Bytes QueryClient::clause_key(const PlanClause& clause,
   w.u8(static_cast<std::uint8_t>(clause.mc));
   w.bytes(digest);
   return std::move(w).take();
-}
-
-void QueryClient::trim_cache(std::size_t capacity) {
-  if (capacity == 0) {
-    cache_.clear();
-    cache_order_.clear();
-    return;
-  }
-  while (cache_.size() > capacity && !cache_order_.empty()) {
-    cache_.erase(cache_order_.front());
-    cache_order_.erase(cache_order_.begin());
-  }
 }
 
 QueryResult QueryClient::run_plan(const ClausePlan& plan) {
@@ -114,10 +88,6 @@ QueryResult QueryClient::run_plan(const ClausePlan& plan) {
   QueryResult out;
   out.clause_count = plan.clauses.size();
 
-  const std::size_t capacity =
-      env::size_knob("SLICER_PLAN_CACHE", 256, 0, 1 << 16);
-  trim_cache(capacity);
-
   // Combiner cache lookups. The key embeds the cloud's *current* digest,
   // so a hit is a clause already verified against exactly this accumulator
   // state — an update changed the digest and misses.
@@ -128,7 +98,7 @@ QueryResult QueryClient::run_plan(const ClausePlan& plan) {
     const Bytes digest = cloud_.accumulator_value().to_bytes_be();
     for (std::size_t i = 0; i < plan.clauses.size(); ++i) {
       keys[i] = clause_key(plan.clauses[i], digest);
-      const auto it = capacity == 0 ? cache_.end() : cache_.find(keys[i]);
+      const auto it = cache_.find(keys[i]);
       if (it != cache_.end()) {
         outcomes[i] = it->second;
         ++out.cached_clauses;
@@ -188,12 +158,14 @@ QueryResult QueryClient::run_plan(const ClausePlan& plan) {
       // replay an unverified (or stale: see the digest in the key) VO.
       const bool clause_ok =
           fold_ok && j < pv.clauses.size() && pv.clauses[j].verified;
-      if (clause_ok && capacity != 0 &&
-          cache_.emplace(keys[i], o).second) {
+      if (clause_ok && cache_.emplace(keys[i], o).second) {
         cache_order_.push_back(keys[i]);
       }
     }
-    trim_cache(capacity);
+    while (cache_.size() > kPlanCacheCapacity) {  // FIFO eviction
+      cache_.erase(cache_order_.front());
+      cache_order_.erase(cache_order_.begin());
+    }
     out.verified = fold_ok && pv.verified;
   }
 
@@ -240,12 +212,7 @@ QueryResult QueryClient::run_plan(const ClausePlan& plan) {
 // --- verified aggregates -------------------------------------------------
 
 QueryClient::CountResult QueryClient::count(const QuerySpec& spec) {
-  return count(spec, QueryOptions::defaults());
-}
-
-QueryClient::CountResult QueryClient::count(const QuerySpec& spec,
-                                            const QueryOptions& options) {
-  const QueryResult r = query(spec, options);
+  const QueryResult r = query(spec);
   return CountResult{r.ids.size(), r.verified};
 }
 
@@ -258,9 +225,7 @@ namespace {
 /// clauses from the second probe on.
 QueryClient::ExtremeResult extreme_search(QueryClient& client,
                                           const std::string& attribute,
-                                          const QuerySpec& spec,
-                                          const QueryOptions& options,
-                                          bool want_min,
+                                          const QuerySpec& spec, bool want_min,
                                           std::uint64_t max_value) {
   static metrics::Counter& probes_total =
       metrics::counter("core.client.plan.aggregate_probes");
@@ -269,7 +234,7 @@ QueryClient::ExtremeResult extreme_search(QueryClient& client,
     return Pred(spec) && Pred::attr(attribute).between_inclusive(lo, hi);
   };
   const auto probe = [&](std::uint64_t lo, std::uint64_t hi) {
-    const QueryResult r = client.query(range(lo, hi), options);
+    const QueryResult r = client.query(range(lo, hi));
     out.verified = out.verified && r.verified;
     ++out.probes;
     probes_total.add();
@@ -305,7 +270,7 @@ QueryClient::ExtremeResult extreme_search(QueryClient& client,
   out.found = true;
   out.value = lo;
   const QueryResult at =
-      client.query(Pred(spec) && Pred::attr(attribute).eq(lo), options);
+      client.query(Pred(spec) && Pred::attr(attribute).eq(lo));
   out.verified = out.verified && at.verified;
   out.ids = at.ids;
   return out;
@@ -315,14 +280,7 @@ QueryClient::ExtremeResult extreme_search(QueryClient& client,
 
 QueryClient::ExtremeResult QueryClient::min_value(std::string_view attribute,
                                                   const QuerySpec& spec) {
-  return min_value(attribute, spec, QueryOptions::defaults());
-}
-
-QueryClient::ExtremeResult QueryClient::min_value(std::string_view attribute,
-                                                  const QuerySpec& spec,
-                                                  const QueryOptions& options) {
-  return extreme_search(*this, std::string(attribute), spec, options,
-                        /*want_min=*/true,
+  return extreme_search(*this, std::string(attribute), spec, /*want_min=*/true,
                         domain_max(user_.config().value_bits));
 }
 
@@ -332,14 +290,7 @@ QueryClient::ExtremeResult QueryClient::min_value(const QuerySpec& spec) {
 
 QueryClient::ExtremeResult QueryClient::max_value(std::string_view attribute,
                                                   const QuerySpec& spec) {
-  return max_value(attribute, spec, QueryOptions::defaults());
-}
-
-QueryClient::ExtremeResult QueryClient::max_value(std::string_view attribute,
-                                                  const QuerySpec& spec,
-                                                  const QueryOptions& options) {
-  return extreme_search(*this, std::string(attribute), spec, options,
-                        /*want_min=*/false,
+  return extreme_search(*this, std::string(attribute), spec, /*want_min=*/false,
                         domain_max(user_.config().value_bits));
 }
 
@@ -350,13 +301,6 @@ QueryClient::ExtremeResult QueryClient::max_value(const QuerySpec& spec) {
 QueryClient::TopKResult QueryClient::top_k(std::string_view attribute,
                                            const QuerySpec& spec,
                                            std::size_t k) {
-  return top_k(attribute, spec, k, QueryOptions::defaults());
-}
-
-QueryClient::TopKResult QueryClient::top_k(std::string_view attribute,
-                                           const QuerySpec& spec,
-                                           std::size_t k,
-                                           const QueryOptions& options) {
   TopKResult out;
   out.verified = true;
   QuerySpec narrowed = spec;
@@ -364,7 +308,7 @@ QueryClient::TopKResult QueryClient::top_k(std::string_view attribute,
     // Extract the current maximum, then narrow below it and repeat —
     // every extraction is itself a verified MAX search, and the shared
     // spec clauses stay cache-served across rounds.
-    const ExtremeResult m = max_value(attribute, narrowed, options);
+    const ExtremeResult m = max_value(attribute, narrowed);
     out.verified = out.verified && m.verified;
     out.probes += m.probes;
     if (!m.found) break;

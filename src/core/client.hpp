@@ -13,25 +13,16 @@
 // domain and top-k iterates it, with the per-clause result cache (below)
 // making the repeated spec clauses free instead of re-querying.
 //
-// Per-query behaviour is a QueryOptions struct (core/query.hpp). The
-// SLICER_STRICT_INTERVALS environment knob is a *default* resolved through
-// QueryOptions::defaults() at each call — pass explicit options to override
-// it per query.
-//
 // Empty intervals: a `between`/`between_inclusive` leaf whose interval is
 // provably empty (hi <= lo + 1, resp. lo > hi) compiles to a verified-empty
 // plan node without contacting the cloud — a provably empty query is not an
-// error. QueryOptions::strict_intervals (default: the
-// SLICER_STRICT_INTERVALS knob) restores the legacy behaviour of throwing
-// CryptoError for callers that treat an empty interval as a bug in their
-// own query construction.
+// error.
 //
 // Clause-result cache ("combiner cache"): verified per-clause outcomes are
 // memoized under a key that includes the cloud's current accumulator
 // digest, so a hit is exactly as fresh as a re-fetch — any update changes
 // the digest and misses the cache — and a stale VO can never be replayed
-// out of it. Capacity comes from the SLICER_PLAN_CACHE knob (clauses,
-// default 256, 0 disables).
+// out of it. It holds up to kPlanCacheCapacity clauses (FIFO eviction).
 #pragma once
 
 #include <map>
@@ -67,14 +58,15 @@ class QueryClient {
   /// chain/slicer_contract.hpp).
   QueryClient(DataUser& user, CloudServer& cloud, std::size_t prime_bits = 64);
 
+  /// Combiner-cache capacity in clauses (FIFO eviction).
+  static constexpr std::size_t kPlanCacheCapacity = 256;
+
   /// Compiles and executes a boolean predicate tree; the core primitive
   /// every other query verb reduces to.
   QueryResult query(const QuerySpec& spec);
-  QueryResult query(const QuerySpec& spec, const QueryOptions& options);
 
   /// Compiles `spec` without executing it (inspect, then run_plan).
   ClausePlan plan_for(const QuerySpec& spec) const;
-  ClausePlan plan_for(const QuerySpec& spec, const QueryOptions& options) const;
 
   /// Executes a compiled plan: one batched cloud round trip for the
   /// clauses the combiner cache cannot serve, per-clause verification, then
@@ -112,7 +104,6 @@ class QueryClient {
   };
 
   CountResult count(const QuerySpec& spec);
-  CountResult count(const QuerySpec& spec, const QueryOptions& options);
 
   /// MIN/MAX of `attribute` over the records matching `spec`, computed as
   /// a verified binary search over the value domain: every probe is a
@@ -121,20 +112,14 @@ class QueryClient {
   /// combiner cache serves the spec's own clauses after the first probe.
   /// Single-argument forms aggregate over the default attribute.
   ExtremeResult min_value(std::string_view attribute, const QuerySpec& spec);
-  ExtremeResult min_value(std::string_view attribute, const QuerySpec& spec,
-                          const QueryOptions& options);
   ExtremeResult min_value(const QuerySpec& spec);
   ExtremeResult max_value(std::string_view attribute, const QuerySpec& spec);
-  ExtremeResult max_value(std::string_view attribute, const QuerySpec& spec,
-                          const QueryOptions& options);
   ExtremeResult max_value(const QuerySpec& spec);
 
   /// Top-k by iterated verified MAX extraction: after each group the spec
   /// narrows with (attribute < value) and the search repeats.
   TopKResult top_k(std::string_view attribute, const QuerySpec& spec,
                    std::size_t k);
-  TopKResult top_k(std::string_view attribute, const QuerySpec& spec,
-                   std::size_t k, const QueryOptions& options);
   TopKResult top_k(const QuerySpec& spec, std::size_t k);
 
  private:
@@ -149,8 +134,6 @@ class QueryClient {
 
   /// Cache key for one clause under one accumulator digest.
   Bytes clause_key(const PlanClause& clause, const Bytes& digest) const;
-  /// Applies the SLICER_PLAN_CACHE capacity (FIFO eviction; 0 clears).
-  void trim_cache(std::size_t capacity);
 
   DataUser& user_;
   CloudServer& cloud_;

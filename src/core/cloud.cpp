@@ -50,6 +50,12 @@ void CloudServer::apply(const UpdateOutput& update) {
   const metrics::ScopedTimer timer(apply_ns);
   const trace::Span span("cloud.apply");
 
+  // Reject a shard layout mismatch before any state changes, so a bad
+  // update leaves the cloud as it was.
+  if (!update.new_primes.empty() &&
+      update.shard_values.size() != sharded_.shard_count())
+    throw ProtocolError("shard value count mismatch in update");
+
   for (const auto& [l, d] : update.entries) index_.put(l, d);
   entries_applied.add(update.entries.size());
 
@@ -64,19 +70,8 @@ void CloudServer::apply(const UpdateOutput& update) {
   primes_.insert(primes_.end(), update.new_primes.begin(),
                  update.new_primes.end());
 
-  // Adopt the owner-published per-shard values. Updates produced before
-  // sharding carry only the folded digest; that is only usable at K = 1,
-  // where the digest IS the single shard value.
-  std::vector<BigUint> legacy_values;
-  std::span<const BigUint> values_after = update.shard_values;
-  if (values_after.empty()) {
-    if (sharded_.shard_count() != 1)
-      throw ProtocolError("update lacks per-shard values for sharded cloud");
-    legacy_values.push_back(update.accumulator_value);
-    values_after = legacy_values;
-  }
   adscrypto::ShardedAccumulator::Batch batch =
-      sharded_.insert_with_values(update.new_primes, values_after);
+      sharded_.insert_with_values(update.new_primes, update.shard_values);
   ac_ = update.accumulator_value;
 
   // Shards that gained primes invalidate their cached proof-cache

@@ -45,6 +45,8 @@ class CloudServer {
   /// precomputation enabled the cache is refreshed eagerly, group by group
   /// (ShardedAccumulator::refresh_witnesses): each group root absorbs the
   /// batch product, and each group's leaves are re-derived from its root.
+  /// Throws ProtocolError, changing nothing, unless an update with new
+  /// primes carries one shard value per shard.
   void apply(const UpdateOutput& update);
 
   /// Full search: results + VO for every token.

@@ -1,6 +1,7 @@
 #include "core/dual.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/errors.hpp"
 
@@ -41,7 +42,9 @@ DualSlicer::DualSlicer(
       add_cloud_(trapdoor_pk, accumulator_params, config.prime_bits),
       del_cloud_(trapdoor_pk, accumulator_params, config.prime_bits),
       add_user_(add_owner_.export_user_state(), fork_rng(rng, "add-user")),
-      del_user_(del_owner_.export_user_state(), fork_rng(rng, "del-user")) {}
+      del_user_(del_owner_.export_user_state(), fork_rng(rng, "del-user")),
+      add_client_(add_user_, add_cloud_, config.prime_bits),
+      del_client_(del_user_, del_cloud_, config.prime_bits) {}
 
 void DualSlicer::insert(Record record) {
   insert(std::span<const Record>(&record, 1));
@@ -83,38 +86,21 @@ void DualSlicer::update(RecordId id, std::uint64_t new_value) {
 
 bool DualSlicer::contains(RecordId id) const { return live_.contains(id); }
 
-DualQueryResult DualSlicer::query(std::uint64_t value, MatchCondition mc) {
+DualQueryResult DualSlicer::query(const QuerySpec& spec) {
+  const QueryResult added = add_client_.query(spec);
+  const QueryResult deleted = del_client_.query(spec);
   DualQueryResult out;
+  out.verified = added.verified && deleted.verified;
+  if (!out.verified) return out;
 
-  auto run = [&](DataUser& user,
-                 CloudServer& cloud) -> std::optional<std::vector<RecordId>> {
-    const auto tokens = user.make_tokens(value, mc);
-    const auto replies = cloud.search(tokens);
-    if (!verify_query(cloud.accumulator_params(), cloud.shard_values(), tokens,
-                      replies, config_.prime_bits)
-             .verified)
-      return std::nullopt;
-    return user.decrypt(replies);
-  };
-
-  const auto added = run(add_user_, add_cloud_);
-  const auto deleted = run(del_user_, del_cloud_);
-  if (!added.has_value() || !deleted.has_value()) {
-    out.verified = false;
-    return out;
-  }
-  out.verified = true;
-
-  // Multiset difference on internal (versioned) ids.
-  std::vector<RecordId> add_ids = *added;
-  std::vector<RecordId> del_ids = *deleted;
-  std::sort(add_ids.begin(), add_ids.end());
-  std::sort(del_ids.begin(), del_ids.end());
+  // Both id lists are sorted and deduplicated internal (versioned) ids.
   std::vector<RecordId> survivors;
-  std::set_difference(add_ids.begin(), add_ids.end(), del_ids.begin(),
-                      del_ids.end(), std::back_inserter(survivors));
+  std::set_difference(added.ids.begin(), added.ids.end(),
+                      deleted.ids.begin(), deleted.ids.end(),
+                      std::back_inserter(survivors));
   out.ids.reserve(survivors.size());
-  for (const RecordId internal : survivors) out.ids.push_back(user_id(internal));
+  for (const RecordId internal : survivors)
+    out.ids.push_back(user_id(internal));
   return out;
 }
 

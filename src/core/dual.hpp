@@ -3,8 +3,10 @@
 // Slicer's index is append-only (forward-secure insertion), so deletion is
 // realized with two complete instances: inserts go to the "add" instance,
 // deletions insert the same (id, value) into the "delete" instance, and a
-// query's final answer is the multiset difference of the two decrypted
-// result sets. An update is one deletion plus one insertion of a new record
+// query's final answer is the set difference of the two instances' verified
+// results. Each instance answers through its own QueryClient, so a delete-
+// aware query is any planner QuerySpec (AND/OR/NOT, intervals) at any shard
+// count. An update is one deletion plus one insertion of a new record
 // version; user-facing ids are mapped to versioned internal ids so that the
 // per-instance unique-id rule is never violated.
 #pragma once
@@ -12,10 +14,10 @@
 #include <optional>
 #include <unordered_map>
 
+#include "core/client.hpp"
 #include "core/cloud.hpp"
 #include "core/owner.hpp"
 #include "core/user.hpp"
-#include "core/verify.hpp"
 
 namespace slicer::core {
 
@@ -43,6 +45,10 @@ class DualSlicer {
              std::optional<adscrypto::AccumulatorTrapdoor> accumulator_trapdoor,
              crypto::Drbg rng);
 
+  // The query clients hold references into this object.
+  DualSlicer(const DualSlicer&) = delete;
+  DualSlicer& operator=(const DualSlicer&) = delete;
+
   /// Inserts a new record. Throws ProtocolError when the id is live or was
   /// ever used.
   void insert(Record record);
@@ -55,8 +61,10 @@ class DualSlicer {
   /// Update = erase + insert of a fresh version with the same user id.
   void update(RecordId id, std::uint64_t new_value);
 
-  /// Verifiable query over the current (post-deletion) state.
-  DualQueryResult query(std::uint64_t value, MatchCondition mc);
+  /// Verifiable query over the current (post-deletion) state: the add
+  /// instance's verified answer minus the delete instance's. Empty ids when
+  /// either instance fails verification.
+  DualQueryResult query(const QuerySpec& spec);
 
   /// True when `id` is live.
   bool contains(RecordId id) const;
@@ -83,6 +91,8 @@ class DualSlicer {
   CloudServer del_cloud_;
   DataUser add_user_;
   DataUser del_user_;
+  QueryClient add_client_;
+  QueryClient del_client_;
 
   std::unordered_map<RecordId, LiveRecord> live_;
   std::unordered_map<RecordId, std::uint32_t> next_version_;

@@ -32,8 +32,9 @@ struct UpdateOutput {
   std::vector<bigint::BigUint> new_primes;        // X⁺
   bigint::BigUint accumulator_value;              // updated Ac (fold digest)
   /// Per-shard accumulation values backing `accumulator_value`. One entry
-  /// per shard; a single entry equal to accumulator_value for K = 1. A
-  /// legacy consumer that only knows the folded digest can ignore this.
+  /// per shard; a single entry equal to accumulator_value for K = 1. The
+  /// cloud requires it; a chain consumer of the folded digest alone
+  /// (UPDATE_AC) can ignore it.
   std::vector<bigint::BigUint> shard_values;
 
   /// Serialized size of the index delta: Σ(|l| + |d|).

@@ -4,7 +4,6 @@
 #include <tuple>
 #include <utility>
 
-#include "common/env.hpp"
 #include "common/errors.hpp"
 
 namespace slicer::core {
@@ -119,12 +118,6 @@ std::string QuerySpec::to_string() const {
   return "(?)";
 }
 
-QueryOptions QueryOptions::defaults() {
-  QueryOptions o;
-  o.strict_intervals = env::flag_knob("SLICER_STRICT_INTERVALS");
-  return o;
-}
-
 namespace {
 
 /// compile_spec working state: the plan under construction plus the
@@ -147,10 +140,7 @@ struct Compiler {
     return plan.nodes.size() - 1;
   }
 
-  std::size_t empty_node(const char* what) {
-    if (ctx.strict_intervals) {
-      throw CryptoError(std::string(what) + ": empty interval");
-    }
+  std::size_t empty_node() {
     ++plan.empty_intervals;
     plan.nodes.push_back(PlanNode{PlanNode::Kind::kEmpty, 0, {}});
     return plan.nodes.size() - 1;
@@ -212,7 +202,7 @@ struct Compiler {
         // Exclusive interval lo < v < hi; provably empty unless hi - lo >= 2.
         const bool empty = s.hi <= s.lo || s.hi - s.lo < 2;
         if (!negate) {
-          if (empty) return empty_node("between");
+          if (empty) return empty_node();
           // (v > lo) AND (v < hi) — clause order matches the legacy
           // intersect(run(> lo), run(< hi)) token_detail concatenation.
           std::vector<std::size_t> kids;
@@ -220,8 +210,7 @@ struct Compiler {
           kids.push_back(clause_node(attribute, s.hi, MatchCondition::kLess));
           return inner_node(PlanNode::Kind::kAnd, std::move(kids));
         }
-        // ¬empty is every record carrying the attribute; an empty interval
-        // under strict_intervals only throws when queried positively.
+        // ¬empty is every record carrying the attribute.
         if (empty) return domain_node(attribute);
         // ¬(lo < v < hi)  →  (v <= lo) OR (v >= hi)
         std::vector<std::size_t> kids;
@@ -233,7 +222,7 @@ struct Compiler {
       }
       case QuerySpec::Op::kBetweenInclusive: {
         if (!negate) {
-          if (s.lo > s.hi) return empty_node("between_inclusive");
+          if (s.lo > s.hi) return empty_node();
           if (s.lo == s.hi) {
             return clause_node(attribute, s.lo, MatchCondition::kEqual);
           }

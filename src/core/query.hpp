@@ -107,18 +107,8 @@ class Pred {
   QuerySpec spec_;
 };
 
-/// Per-query knobs: every query resolves one QueryOptions and nothing
-/// below it consults the environment. defaults() reads the env knob through
-/// env::flag_knob once per call, so the environment stays a *default*, not
-/// a hidden override.
-struct QueryOptions {
-  /// Throw CryptoError on a provably empty interval instead of compiling
-  /// it to a verified-empty clause (SLICER_STRICT_INTERVALS default).
-  bool strict_intervals = false;
-
-  /// The environment-resolved defaults (see above).
-  static QueryOptions defaults();
-};
+/// Empty: perfbench/src/main.cpp names it as a template default argument.
+struct QueryOptions {};
 
 /// One primitive clause of a compiled plan: a single Algorithm-3 search.
 struct PlanClause {
@@ -158,14 +148,12 @@ struct ClausePlan {
 struct PlanContext {
   /// Substituted for leaves with an empty attribute name.
   std::string default_attribute;
-  /// Empty intervals throw CryptoError instead of compiling to kEmpty.
-  bool strict_intervals = false;
 };
 
 /// Lowers a QuerySpec into a ClausePlan (see the file comment for the
-/// normalization rules). Throws ProtocolError on a malformed tree (AND/OR
-/// without children, NOT without exactly one child) and CryptoError on an
-/// empty interval under strict_intervals.
+/// normalization rules). A provably empty interval compiles to a
+/// verified-empty kEmpty node. Throws ProtocolError on a malformed tree
+/// (AND/OR without children, NOT without exactly one child).
 ClausePlan compile_spec(const QuerySpec& spec, const PlanContext& ctx);
 
 /// Plaintext reference evaluation of a QuerySpec against one record —

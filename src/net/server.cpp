@@ -572,17 +572,9 @@ struct SlicerServer::Impl {
 SlicerServer::SlicerServer(ServerConfig config)
     : impl_(std::make_unique<Impl>()) {
   impl_->config = config;
-  if (impl_->config.port == 0) {
-    impl_->config.port = static_cast<std::uint16_t>(
-        env::size_knob("SLICER_PORT", 0, 0, 65535));
-  }
   if (impl_->config.dispatch_concurrency == 0) {
     impl_->config.dispatch_concurrency = env::size_knob(
         "SLICER_NET_THREADS", ThreadPool::instance().thread_count(), 1, 4096);
-  }
-  if (impl_->config.tenant_qps == 0) {
-    impl_->config.tenant_qps =
-        env::size_knob("SLICER_TENANT_QPS", 0, 0, 1'000'000);
   }
   impl_->slots_free = impl_->config.dispatch_concurrency;
 }
@@ -653,11 +645,6 @@ void SlicerServer::stop() {
 std::uint16_t SlicerServer::port() const {
   if (impl_->listener == nullptr) throw ProtocolError("server not started");
   return impl_->listener->port();
-}
-
-std::size_t SlicerServer::connection_count() const {
-  std::lock_guard lock(impl_->conns_mu);
-  return impl_->conns.size();
 }
 
 bool SlicerServer::tenant_banned(const std::string& name) const {

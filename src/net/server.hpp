@@ -35,8 +35,7 @@
 // its own socket buffer (TCP backpressure) instead of ballooning the queue.
 //
 // Per-tenant abuse control: every tenant owns a token bucket
-// (tenant_qps / tenant_burst; the qps defaults to the SLICER_TENANT_QPS
-// knob, 0 = unlimited) consulted on the reader thread before dispatch — an
+// (tenant_qps / tenant_burst; qps 0 = unlimited) consulted on the reader thread before dispatch — an
 // empty bucket gets a kError/"throttled" reply and the connection stays
 // open (the client backs off and retries). Misbehavior accrues on the
 // tenant, not the connection: malformed frames and undecodable payloads
@@ -64,12 +63,11 @@
 
 namespace slicer::net {
 
-/// SlicerServer tuning. Field defaults are the production values; port and
-/// dispatch_concurrency additionally honour environment knobs (see fields).
+/// SlicerServer tuning. Field defaults are the production values;
+/// dispatch_concurrency additionally honours an environment knob.
 struct ServerConfig {
-  /// TCP port to bind on 127.0.0.1. 0 defers to the SLICER_PORT knob, and
-  /// when that is unset too, the kernel assigns an ephemeral port (read it
-  /// back via port() — the test/bench default).
+  /// TCP port to bind on 127.0.0.1. 0 lets the kernel assign an ephemeral
+  /// port (read it back via port() — the test/bench default).
   std::uint16_t port = 0;
 
   /// Live-connection cap; accepts beyond it are answered with a
@@ -93,8 +91,7 @@ struct ServerConfig {
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 
   /// Per-tenant sustained request rate (token-bucket refill, requests per
-  /// second). 0 defers to the SLICER_TENANT_QPS knob (clamped to
-  /// [0, 1'000'000]); when that is unset too, admission is unlimited.
+  /// second). 0 = unlimited admission.
   std::size_t tenant_qps = 0;
 
   /// Token-bucket capacity: the burst a tenant may issue before the
@@ -144,9 +141,6 @@ class SlicerServer {
 
   /// The bound port (valid after start()).
   std::uint16_t port() const;
-
-  /// Number of currently live connections (diagnostics/tests).
-  std::size_t connection_count() const;
 
   /// Whether a tenant is currently banned (diagnostics/tests). Throws
   /// ProtocolError for an unknown tenant.

@@ -233,9 +233,12 @@ TEST(BigUint, ModInverse) {
 TEST(BigUint, ModInverseLarge) {
   const BigUint m = BigUint::from_hex(
       "ffffffffffffffffffffffffffffffff" "fffffffffffffffffffffffefffffc2f");
-  const BigUint a = BigUint::from_hex("deadbeefcafebabe");
-  const BigUint inv = BigUint::mod_inverse(a, m);
-  EXPECT_EQ((a * inv) % m, BigUint(1));
+  for (const char* hex : {"deadbeefcafebabe", "123456789abcdef"}) {
+    const BigUint a = BigUint::from_hex(hex);
+    const BigUint inv = BigUint::mod_inverse(a, m);
+    EXPECT_LT(inv, m) << hex;
+    EXPECT_EQ((a * inv) % m, BigUint(1)) << hex;
+  }
 }
 
 TEST(BigUint, ModInverseNotInvertibleThrows) {

@@ -32,6 +32,11 @@ class ContractTest : public ::testing::Test {
         SlicerContract::encode_ctor(rig_.acc_params,
                                     rig_.owner->accumulator_value(),
                                     rig_.config.prime_bits));
+    // Publish the owner's per-shard values in the deployment block, so
+    // honest replies verify at any SLICER_SHARDS.
+    chain_.submit(
+        chain_.make_tx(owner_addr_, contract_addr_, 0,
+                       encode_update_shards(rig_.owner->shard_values())));
     chain_.seal_block();
     contract_ = dynamic_cast<SlicerContract*>(chain_.contract_at(contract_addr_));
   }
@@ -87,7 +92,9 @@ TEST_F(ContractTest, DeploymentStoresStateAndChargesGas) {
   ASSERT_NE(contract_, nullptr);
   EXPECT_EQ(contract_->owner(), owner_addr_);
   EXPECT_EQ(contract_->stored_ac(), rig_.owner->accumulator_value());
-  ASSERT_EQ(chain_.receipts().size(), 1u);
+  // The deployment, then the owner's UPDATE_SHARDS publication.
+  ASSERT_EQ(chain_.receipts().size(), 2u);
+  EXPECT_TRUE(chain_.receipts()[1].success);
   const Receipt& r = chain_.receipts()[0];
   EXPECT_TRUE(r.success);
   // Deployment dominated by code deposit + storage init; six figures.

@@ -38,6 +38,9 @@ class FaultChainTest : public ::testing::Test {
         SlicerContract::encode_ctor(rig_.acc_params,
                                     rig_.owner->accumulator_value(),
                                     rig_.config.prime_bits));
+    chain_.submit(
+        chain_.make_tx(owner_addr_, contract_addr_, 0,
+                       encode_update_shards(rig_.owner->shard_values())));
     chain_.seal_block();
     contract_ =
         dynamic_cast<SlicerContract*>(chain_.contract_at(contract_addr_));
@@ -227,14 +230,14 @@ TEST_F(FaultChainTest, ContractRefundsEveryRejectedTaxonomyOperation) {
     core::MaliciousCloud mal(*rig_.cloud, tamper, /*seed=*/0xFA11);
 
     if (tamper == core::Tamper::kStaleReplay) {
-      // Stale replay needs an update in between — and the on-chain Ac must
-      // follow the owner's, as in the real protocol.
+      // Stale replay needs an update in between — and the on-chain shard
+      // values must follow the owner's, as in the real protocol.
       mal.record_stale(tokens);
       rig_.ingest({{next_id++, 42}});
       TxSubmitter submitter(chain_);
       const Receipt ur = submitter.submit_and_wait(chain_.make_tx(
           owner_addr_, contract_addr_, 0,
-          encode_update_ac(rig_.owner->accumulator_value())));
+          encode_update_shards(rig_.owner->shard_values())));
       ASSERT_TRUE(ur.success) << ur.revert_reason;
     }
 
@@ -277,13 +280,14 @@ TEST_F(FaultChainTest, FullFlowCompletesUnderProbabilisticChainFaults) {
       "chain.seal.validator_down=p:0.3;seed=77");
   TxSubmitter submitter(chain_, SubmitterConfig{.max_attempts = 32});
 
-  // Three full insert→update_ac→query→verify rounds under fault pressure.
+  // Three full insert→update_shards→query→verify rounds under fault
+  // pressure.
   core::RecordId next_id = 900;
   for (int round = 0; round < 3; ++round) {
     rig_.ingest({{next_id++, 42}, {next_id++, 7}});
     const Receipt ur = submitter.submit_and_wait(chain_.make_tx(
         owner_addr_, contract_addr_, 0,
-        encode_update_ac(rig_.owner->accumulator_value())));
+        encode_update_shards(rig_.owner->shard_values())));
     ASSERT_TRUE(ur.success) << ur.revert_reason;
 
     const auto tokens = rig_.user->make_tokens(42, MatchCondition::kEqual);

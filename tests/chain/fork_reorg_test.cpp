@@ -267,6 +267,9 @@ class FinalityTest : public ::testing::Test {
         SlicerContract::encode_ctor(rig_.acc_params,
                                     rig_.owner->accumulator_value(),
                                     rig_.config.prime_bits));
+    chain_.submit(
+        chain_.make_tx(owner_addr_, contract_addr_, 0,
+                       encode_update_shards(rig_.owner->shard_values())));
     chain_.seal_block();
   }
 

@@ -1,6 +1,8 @@
 // Golden gas values: the contract's gas accounting must stay deterministic
 // and in the paper's regime (Table II). These tests pin the exact amounts
-// for fixed inputs so accidental schedule or ABI changes are caught.
+// for fixed inputs so accidental schedule or ABI changes are caught. The
+// fixture pins K = 1: Table II's single-value UPDATE_AC is the K = 1
+// publication.
 #include <gtest/gtest.h>
 
 #include "chain/slicer_contract.hpp"
@@ -15,7 +17,7 @@ using core::testing::Rig;
 class GasGolden : public ::testing::Test {
  protected:
   GasGolden()
-      : rig_(Rig::make(8, "gas-golden")),
+      : rig_(Rig::make(8, "gas-golden", {}, /*shard_count=*/1)),
         chain_({Address::from_label("v1")}),
         owner_(Address::from_label("o")),
         user_(Address::from_label("u")),

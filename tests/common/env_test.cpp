@@ -1,6 +1,6 @@
 // Shared SLICER_* knob parsing: defaults, clamping, and malformed-value
 // rejection must behave identically for every knob (SLICER_THREADS,
-// SLICER_SHARDS, SLICER_PROOF_CACHE, SLICER_PORT, SLICER_NET_THREADS, ...).
+// SLICER_SHARDS, SLICER_PROOF_CACHE, SLICER_NET_THREADS, ...).
 #include "common/env.hpp"
 
 #include <gtest/gtest.h>
@@ -78,28 +78,6 @@ TEST(EnvKnob, BoundaryValuesPassThrough) {
   {
     ScopedEnv guard("SLICER_TEST_MAX", "100");
     EXPECT_EQ(size_knob("SLICER_TEST_MAX", 7, 1, 100), 100u);
-  }
-}
-
-TEST(EnvFlag, UnsetAndZeroAreFalse) {
-  {
-    ScopedEnv guard("SLICER_TEST_FLAG", nullptr);
-    EXPECT_FALSE(flag_knob("SLICER_TEST_FLAG"));
-  }
-  {
-    ScopedEnv guard("SLICER_TEST_FLAG", "");
-    EXPECT_FALSE(flag_knob("SLICER_TEST_FLAG"));
-  }
-  {
-    ScopedEnv guard("SLICER_TEST_FLAG", "0");
-    EXPECT_FALSE(flag_knob("SLICER_TEST_FLAG"));
-  }
-}
-
-TEST(EnvFlag, NonEmptyIsTrue) {
-  for (const char* value : {"1", "yes", "json", "true"}) {
-    ScopedEnv guard("SLICER_TEST_FLAG", value);
-    EXPECT_TRUE(flag_knob("SLICER_TEST_FLAG")) << value;
   }
 }
 

@@ -1,4 +1,4 @@
-// common/metrics: registry semantics, histogram bucketing, snapshot JSON,
+// common/metrics: registry semantics, exact histogram totals, snapshot JSON,
 // the disabled-path cost budget, and multi-threaded recording.
 #include "common/metrics.hpp"
 
@@ -62,24 +62,6 @@ TEST(MetricsTest, CounterGaugeBasics) {
   EXPECT_EQ(g.value(), -5);
 }
 
-TEST(MetricsTest, HistogramBucketBoundaries) {
-  // Bucket k holds [2^(k-1), 2^k): boundaries land in the upper bucket.
-  EXPECT_EQ(Histogram::bucket_of(0), 0u);
-  EXPECT_EQ(Histogram::bucket_of(1), 1u);
-  EXPECT_EQ(Histogram::bucket_of(2), 2u);
-  EXPECT_EQ(Histogram::bucket_of(3), 2u);
-  EXPECT_EQ(Histogram::bucket_of(4), 3u);
-  EXPECT_EQ(Histogram::bucket_of(7), 3u);
-  EXPECT_EQ(Histogram::bucket_of(8), 4u);
-  EXPECT_EQ(Histogram::bucket_of(1023), 10u);
-  EXPECT_EQ(Histogram::bucket_of(1024), 11u);
-  EXPECT_EQ(Histogram::bucket_of((1ull << 63) - 1), 63u);
-  EXPECT_EQ(Histogram::bucket_of(1ull << 63), 64u);
-  EXPECT_EQ(Histogram::bucket_of(std::numeric_limits<std::uint64_t>::max()),
-            64u);
-  static_assert(Histogram::kBuckets == 65);
-}
-
 TEST(MetricsTest, HistogramKeepsExactCountAndSum) {
   const ScopedMetrics guard;
   Histogram& h = histogram("test.metrics.hist");
@@ -88,10 +70,9 @@ TEST(MetricsTest, HistogramKeepsExactCountAndSum) {
   h.record(1000);
   EXPECT_EQ(h.count(), 3u);
   EXPECT_EQ(h.sum(), 1001u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(10), 1u);
-  EXPECT_EQ(h.bucket(2), 0u);
+  h.record(std::numeric_limits<std::uint64_t>::max() - 1001);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.sum(), std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(MetricsTest, ScopedTimerRecordsOnlyWhenEnabled) {
@@ -110,9 +91,9 @@ TEST(MetricsTest, SnapshotJsonGolden) {
   counter("test.metrics.golden.counter").add(42);
   gauge("test.metrics.golden.gauge").set(-3);
   Histogram& h = histogram("test.metrics.golden.hist");
-  h.record(5);     // bucket 3
-  h.record(25);    // bucket 5
-  h.record(1000);  // bucket 10
+  h.record(5);
+  h.record(25);
+  h.record(1000);
 
   const std::string json = snapshot_json();
   // The registry is process-wide (other tests registered instruments too),
@@ -122,8 +103,7 @@ TEST(MetricsTest, SnapshotJsonGolden) {
             std::string::npos);
   EXPECT_NE(json.find("\"test.metrics.golden.gauge\": -3"), std::string::npos);
   EXPECT_NE(json.find("\"test.metrics.golden.hist\": {\"count\": 3, "
-                      "\"sum_ns\": 1030, \"total_ms\": 0.00103, "
-                      "\"buckets\": {\"3\": 1, \"5\": 1, \"10\": 1}}"),
+                      "\"sum_ns\": 1030, \"total_ms\": 0.00103}"),
             std::string::npos);
   EXPECT_LT(json.find("\"counters\""), json.find("\"gauges\""));
   EXPECT_LT(json.find("\"gauges\""), json.find("\"histograms\""));
@@ -136,14 +116,13 @@ TEST(MetricsTest, SnapshotStructuredView) {
   const ScopedMetrics guard;
   counter("test.metrics.snap.counter").add(5);
   histogram("test.metrics.snap.hist").record(9);
+  histogram("test.metrics.snap.hist").record(0);
 
   const Snapshot snap = snapshot();
   EXPECT_EQ(snap.counters.at("test.metrics.snap.counter"), 5u);
   const auto& h = snap.histograms.at("test.metrics.snap.hist");
-  EXPECT_EQ(h.count, 1u);
+  EXPECT_EQ(h.count, 2u);
   EXPECT_EQ(h.sum, 9u);
-  ASSERT_EQ(h.buckets.size(), 1u);
-  EXPECT_EQ(h.buckets[0], (std::pair<std::size_t, std::uint64_t>{4, 1}));
 }
 
 TEST(MetricsTest, ResetZeroesButKeepsRegistration) {
@@ -199,7 +178,7 @@ TEST(MetricsTest, ConcurrentRecordingIsExact) {
     threads.emplace_back([&c, &h, t] {
       for (int i = 0; i < kPerThread; ++i) {
         c.add();
-        h.record(static_cast<std::uint64_t>(t));  // buckets 0..3
+        h.record(static_cast<std::uint64_t>(t));
       }
     });
   }
@@ -211,12 +190,10 @@ TEST(MetricsTest, ConcurrentRecordingIsExact) {
   for (int t = 0; t < kThreads; ++t)
     expected_sum += static_cast<std::uint64_t>(t) * kPerThread;
   EXPECT_EQ(h.sum(), expected_sum);
-  // Thread 0 lands in bucket 0, thread 1 in bucket 1, threads 2–3 in
-  // bucket 2, threads 4–7 in bucket 3.
-  EXPECT_EQ(h.bucket(0), static_cast<std::uint64_t>(kPerThread));
-  EXPECT_EQ(h.bucket(1), static_cast<std::uint64_t>(kPerThread));
-  EXPECT_EQ(h.bucket(2), 2u * kPerThread);
-  EXPECT_EQ(h.bucket(3), 4u * kPerThread);
+  // A snapshot taken after the joins sees the same exact totals.
+  const auto snap = snapshot().histograms.at("test.metrics.mt.hist");
+  EXPECT_EQ(snap.count, h.count());
+  EXPECT_EQ(snap.sum, expected_sum);
 }
 
 }  // namespace

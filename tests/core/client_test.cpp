@@ -3,9 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
-#include "common/errors.hpp"
 #include "tests/core/test_rig.hpp"
 
 namespace slicer::core {
@@ -86,16 +83,6 @@ TEST_F(ClientTest, EmptyIntervalReturnsVerifiedEmpty) {
     EXPECT_EQ(r.tokens_verified, 0u);
     EXPECT_TRUE(r.token_detail.empty());
   }
-}
-
-TEST_F(ClientTest, StrictIntervalsEnvRestoresThrow) {
-  const auto v = Pred::value();
-  ::setenv("SLICER_STRICT_INTERVALS", "1", 1);
-  EXPECT_THROW(client_->query(v.between(40, 40)), CryptoError);
-  EXPECT_THROW(client_->query(v.between(41, 40)), CryptoError);
-  EXPECT_THROW(client_->query(v.between_inclusive(41, 40)), CryptoError);
-  ::unsetenv("SLICER_STRICT_INTERVALS");
-  EXPECT_TRUE(client_->query(v.between(40, 40)).verified);
 }
 
 TEST_F(ClientTest, VerificationDetail) {

@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "common/errors.hpp"
 #include "core/client.hpp"
 #include "tests/core/test_rig.hpp"
@@ -93,17 +91,6 @@ TEST(CompileSpec, EmptyIntervalMakesEmptyNode) {
   EXPECT_TRUE(plan.clauses.empty());
   EXPECT_EQ(plan.nodes[plan.root].kind, PlanNode::Kind::kEmpty);
   EXPECT_EQ(plan.empty_intervals, 1u);
-}
-
-TEST(CompileSpec, StrictIntervalsThrowOnEmpty) {
-  const PlanContext strict{.strict_intervals = true};
-  EXPECT_THROW(compile_spec(Pred::attr("a").between(7, 8), strict),
-               CryptoError);
-  EXPECT_THROW(compile_spec(Pred::attr("a").between_inclusive(8, 7), strict),
-               CryptoError);
-  // A negated empty interval is the full (attribute-scoped) domain — a
-  // positive query that never touches the empty interval, so no throw.
-  EXPECT_NO_THROW(compile_spec(!Pred::attr("a").between(7, 8), strict));
 }
 
 TEST(CompileSpec, NegatedEmptyIntervalIsDomain) {
@@ -236,28 +223,6 @@ TEST_F(PlannerTest, SingleLeafQueryMatchesDirectSearch) {
   EXPECT_EQ(client_->query(interval).ids, oracle(interval));
 }
 
-TEST_F(PlannerTest, OptionsOverrideEnvDefaults) {
-  // strict_intervals through the options struct, no env knob involved.
-  QueryOptions strict = QueryOptions::defaults();
-  strict.strict_intervals = true;
-  EXPECT_THROW(client_->query(Pred::attr("age").between(7, 8), strict),
-               CryptoError);
-  // The same spec with default options: verified-empty, no throw.
-  const QueryResult r = client_->query(Pred::attr("age").between(7, 8));
-  EXPECT_TRUE(r.verified);
-  EXPECT_TRUE(r.ids.empty());
-  EXPECT_EQ(r.token_count, 0u);
-}
-
-TEST_F(PlannerTest, EnvKnobsResolveAsDefaults) {
-  ::setenv("SLICER_STRICT_INTERVALS", "1", 1);
-  EXPECT_TRUE(QueryOptions::defaults().strict_intervals);
-  EXPECT_THROW(client_->query(Pred::attr("age").between(7, 8)), CryptoError);
-  ::unsetenv("SLICER_STRICT_INTERVALS");
-  EXPECT_FALSE(QueryOptions::defaults().strict_intervals);
-  EXPECT_TRUE(client_->query(Pred::attr("age").between(7, 8)).verified);
-}
-
 TEST_F(PlannerTest, CombinerCacheServesRepeatedClauses) {
   const QuerySpec spec =
       Pred::attr("age").gt(28) && Pred::attr("dept").eq(7);
@@ -280,13 +245,17 @@ TEST_F(PlannerTest, CacheMissesAfterUpdate) {
   EXPECT_TRUE(r.verified);
 }
 
-TEST_F(PlannerTest, CacheDisabledByKnob) {
-  ::setenv("SLICER_PLAN_CACHE", "0", 1);
-  const QuerySpec spec = Pred::attr("dept").eq(9);
-  client_->query(spec);
-  const QueryResult r = client_->query(spec);
-  EXPECT_EQ(r.cached_clauses, 0u);
-  ::unsetenv("SLICER_PLAN_CACHE");
+TEST_F(PlannerTest, CacheEvictsOldestBeyondCapacity) {
+  // One more distinct clause than the cache holds: the oldest is evicted
+  // first, the newest still hits.
+  const auto clause = [](std::size_t i) {
+    return Pred::attr(i % 2 == 0 ? "dept" : "age").eq(i / 2);
+  };
+  constexpr std::size_t kCap = QueryClient::kPlanCacheCapacity;
+  for (std::size_t i = 0; i <= kCap; ++i)
+    ASSERT_TRUE(client_->query(clause(i)).verified) << i;
+  EXPECT_EQ(client_->query(clause(kCap)).cached_clauses, 1u);
+  EXPECT_EQ(client_->query(clause(0)).cached_clauses, 0u);
 }
 
 TEST_F(PlannerTest, VerifiedCount) {

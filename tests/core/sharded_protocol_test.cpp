@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "adscrypto/sharded_accumulator.hpp"
+#include "common/errors.hpp"
 #include "common/metrics.hpp"
 #include "tests/core/test_rig.hpp"
 
@@ -35,7 +36,7 @@ std::vector<Record> golden_batch2() {
 // sharding landed. The K = 1 layout is contractually bit-identical: these
 // values are what the chain stored, so they may never drift.
 TEST(ShardedProtocol, GoldenK1BitIdenticalToPreShardingCode) {
-  Rig rig = Rig::make(8, "shard-golden");
+  Rig rig = Rig::make(8, "shard-golden", {}, /*shard_count=*/1);
   ASSERT_EQ(rig.cloud->shard_count(), 1u);
 
   rig.cloud->apply(rig.owner->insert(golden_batch1()));
@@ -120,6 +121,29 @@ TEST(ShardedProtocol, EmptyUpdateSkipsWitnessRefresh) {
   EXPECT_TRUE(rig.cloud->witnesses_precomputed());
   EXPECT_EQ(rig.cloud->accumulator_value(), ac_before);
   EXPECT_TRUE(rig.query(42, MatchCondition::kEqual).verified);
+}
+
+TEST(ShardedProtocol, UpdateWithoutShardValuesIsRejectedUnchanged) {
+  // Every update with new primes must carry one value per shard, K = 1
+  // included, and a rejected update leaves the cloud as it was.
+  for (const std::size_t k : {1u, 4u}) {
+    Rig rig = Rig::make(8, "shard-reject", {}, k);
+    rig.ingest(golden_batch1());
+    const UpdateOutput good = rig.owner->insert(golden_batch2());
+    UpdateOutput bad = good;
+    bad.shard_values.clear();
+    const std::size_t entries = rig.cloud->index().size();
+    const std::size_t primes = rig.cloud->prime_count();
+    const auto values = rig.cloud->shard_values();
+    EXPECT_THROW(rig.cloud->apply(bad), ProtocolError) << "K=" << k;
+    EXPECT_EQ(rig.cloud->index().size(), entries) << "K=" << k;
+    EXPECT_EQ(rig.cloud->prime_count(), primes) << "K=" << k;
+    EXPECT_EQ(rig.cloud->shard_values(), values) << "K=" << k;
+
+    rig.cloud->apply(good);
+    rig.user->refresh(rig.owner->export_user_state());
+    EXPECT_TRUE(rig.query(42, MatchCondition::kGreater).verified) << "K=" << k;
+  }
 }
 
 TEST(ShardedProtocol, IncrementalRefreshServesCachedWitnesses) {

@@ -7,10 +7,9 @@ schema (tools/metrics_schema.json), which pins
 
   * the three sections and their order-independent shapes
     (counters/gauges: name -> integer; histograms: name -> object with
-    count/sum_ns/total_ms/buckets),
+    count/sum_ns/total_ms),
   * the instrument naming convention (layer.component.event),
-  * internal consistency: bucket counts sum to "count", total_ms is
-    sum_ns / 1e6, bucket keys lie in [0, 64],
+  * internal consistency: total_ms is sum_ns / 1e6,
   * the presence of the required instruments every full protocol run must
     record (the schema's "required" lists).
 
@@ -48,24 +47,11 @@ def check_names(section_name, mapping):
 
 
 def check_histogram(name, hist):
-    for key in ("count", "sum_ns", "total_ms", "buckets"):
+    for key in ("count", "sum_ns", "total_ms"):
         if key not in hist:
             fail(f"histogram {name!r} missing key {key!r}")
     if not isinstance(hist["count"], int) or not isinstance(hist["sum_ns"], int):
         fail(f"histogram {name!r}: count/sum_ns must be integers")
-    if not isinstance(hist["buckets"], dict):
-        fail(f"histogram {name!r}: buckets must be an object")
-    bucket_total = 0
-    for bucket, n in hist["buckets"].items():
-        if not bucket.isdigit() or not 0 <= int(bucket) <= 64:
-            fail(f"histogram {name!r}: bucket key {bucket!r} not in [0, 64]")
-        if not isinstance(n, int) or n <= 0:
-            fail(f"histogram {name!r}: bucket {bucket!r} count must be a "
-                 "positive integer (empty buckets are omitted)")
-        bucket_total += n
-    if bucket_total != hist["count"]:
-        fail(f"histogram {name!r}: bucket counts sum to {bucket_total}, "
-             f"count says {hist['count']}")
     # total_ms is derived; allow float formatting slack.
     expected_ms = hist["sum_ns"] / 1e6
     if abs(hist["total_ms"] - expected_ms) > max(1e-9, expected_ms * 1e-4):
